@@ -44,10 +44,7 @@ pub use store::{
 };
 
 use cache::ProfileEntry;
-use psb_core::{
-    BatchReport, BatchedMachine, DecodedProgram, MachineConfig, TraceSink, VliwError, VliwMachine,
-    VliwResult,
-};
+use psb_core::{DecodedProgram, MachineConfig, TraceSink, VliwError, VliwMachine, VliwResult};
 use psb_isa::{ScalarProgram, VliwProgram};
 use psb_scalar::{EdgeProfile, ScalarConfig, ScalarMachine};
 use psb_sched::{schedule, SchedConfig, SchedError, ScheduleStats};
@@ -275,29 +272,6 @@ impl CompiledArtifact {
         sink: S,
     ) -> Result<(VliwResult, S), VliwError> {
         VliwMachine::run_with_sink_decoded(&self.program, Arc::clone(&self.decoded), cfg, sink)
-    }
-
-    /// Runs the artifact's program under every configuration in `cfgs`
-    /// at once on the batched lockstep engine: one shared decoded arena,
-    /// one admission pass per distinct width/resource pair, per-lane
-    /// default [`psb_core::EventLog`] sinks.  This is the
-    /// one-artifact → many-configs API the content-addressed cache key
-    /// was designed for (it deliberately excludes `MachineConfig`).
-    ///
-    /// Lane failures are per-lane values in the report, never an `Err`
-    /// of the whole batch; each lane's outcome is byte-equal to what
-    /// [`run`](Self::run) would return for the same configuration.
-    pub fn run_batch(&self, cfgs: &[MachineConfig]) -> BatchReport<psb_core::EventLog> {
-        BatchedMachine::new(&self.program, Arc::clone(&self.decoded), cfgs).run()
-    }
-
-    /// Like [`run_batch`](Self::run_batch), but with one caller-chosen
-    /// [`TraceSink`] per lane.
-    pub fn run_batch_with_sinks<S: TraceSink>(
-        &self,
-        lanes: Vec<(MachineConfig, S)>,
-    ) -> BatchReport<S> {
-        BatchedMachine::with_sinks(&self.program, Arc::clone(&self.decoded), lanes).run()
     }
 
     /// Whether two artifacts carry identical semantic content (hash, key,

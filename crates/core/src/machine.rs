@@ -267,12 +267,8 @@ enum IssueOutcome {
 }
 
 /// What one call to [`VliwMachine::step_cycle`] did.
-///
-/// Lockstep drivers (the batched sweep engine in [`crate::batch`]) use
-/// this to decide whether a lane takes another cycle or retires; the
-/// solo [`VliwMachine::run_into_sink`] loop is the canonical consumer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StepOutcome {
+enum StepOutcome {
     /// The machine took one architectural cycle (issue, stall or
     /// recovery entry) and can step again.
     Running,
@@ -1801,10 +1797,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     /// recovery-exit check, issue (or stall), writeback, and the
     /// end-of-cycle sample.  This is the *entire* per-cycle semantics of
     /// the machine — [`run_into_sink`](Self::run_into_sink) is a bare
-    /// loop over it, and the batched lockstep driver
-    /// ([`BatchedMachine`](crate::BatchedMachine)) interleaves calls
-    /// across lanes, so a lane's trajectory is byte-equal to a solo run
-    /// by construction rather than by re-implementation.
+    /// loop over it.
     ///
     /// After [`StepOutcome::Halted`] the caller must not step again;
     /// finish with [`finish`](Self::finish).
@@ -1812,7 +1805,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     /// # Errors
     ///
     /// See [`VliwMachine::run`].
-    pub fn step_cycle(&mut self) -> Result<StepOutcome, VliwError> {
+    fn step_cycle(&mut self) -> Result<StepOutcome, VliwError> {
         // The tabled engine's cycle driver proves the commit hardware
         // inert before invoking it: a pass over an empty register file or
         // store buffer commits nothing, squashes nothing and emits no
@@ -1986,13 +1979,13 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     /// cycle.  Must only be called after
     /// [`step_cycle`](Self::step_cycle) returned
     /// [`StepOutcome::Halted`]; consuming the machine makes stepping a
-    /// retired lane impossible by construction.
+    /// halted machine impossible by construction.
     ///
     /// # Errors
     ///
     /// [`VliwError::Malformed`] if an unresolved speculative store is
     /// still buffered at halt (an invariant violation).
-    pub fn finish(mut self) -> Result<(VliwResult, S), VliwError> {
+    fn finish(mut self) -> Result<(VliwResult, S), VliwError> {
         let cycle = self.cycle;
         self.stats.squashes += self.regs.squash_spec(cycle, &mut self.sink);
         self.stats.squashes += self.sb.squash_spec(cycle, &mut self.sink);

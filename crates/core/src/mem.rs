@@ -18,9 +18,7 @@
 //! Every issue engine funnels loads through the same two
 //! [`VliwMachine`](crate::VliwMachine) execution helpers and fetch
 //! through the same cycle-driver gate, so one [`MemorySystem`] instance
-//! per machine covers all engines uniformly — and per-lane instances in
-//! [`BatchedMachine`](crate::BatchedMachine) fall out for free because
-//! each lane owns a whole machine.
+//! per machine covers all engines uniformly.
 //!
 //! Modeling simplifications (documented, deliberate): stores retire
 //! through the store buffer and do not touch the D$ (no
@@ -424,8 +422,8 @@ enum MemKind {
     },
 }
 
-/// One machine's (or one batched lane's) memory timing state: the
-/// model, its cache contents, and the in-progress word fetch.
+/// One machine's memory timing state: the model, its cache contents,
+/// and the in-progress word fetch.
 #[derive(Clone, Debug)]
 pub struct MemorySystem {
     base_load: u64,

@@ -71,26 +71,25 @@
 //! `metrics`), so CI can byte-compare two runs.
 //!
 //! `sweep` explores a machine-configuration grid of one compiled
-//! artifact per (kernel × model) pair on the batched lockstep engine
-//! (see DESIGN.md §15), measuring the aggregate speedup over
-//! point-at-a-time execution and holding every lane byte-equal to its
-//! solo run:
+//! artifact per (kernel × model) pair (see DESIGN.md §15): each artifact
+//! compiles once, and each design point runs once and is held to the
+//! scalar golden model:
 //!
 //! ```text
 //! repro sweep [--quick] [--deterministic] [--jobs N]
-//!             [--grid "dim=v1,v2;..."] [--batch-width N]
-//!             [--check BASELINE.json] [--tolerance FRAC] [--out FILE]
+//!             [--grid "dim=v1,v2;..."] [--check BASELINE.json] [--out FILE]
 //! ```
 //!
 //! Grid dimensions: `kernel`, `model`, `width`, `sb`, `scan`,
-//! `latency`, `icache`, `dcache`, `batch` — unnamed dimensions keep the
+//! `latency`, `icache`, `dcache` — unnamed dimensions keep the
 //! quick/full defaults.  `icache`/`dcache` values are cache specs or
 //! `off` (both off = the perfect-memory timing).  Numeric dimensions
 //! also accept ranges: `sb=1..64:pow2` walks powers of two,
-//! `latency=1..8` walks every value.  The JSON report (`psb-sweep-v1`)
+//! `latency=1..8` walks every value.  The JSON report (`psb-sweep-v2`)
 //! is byte-identical at any `--jobs`; `--deterministic` zeroes the wall
-//! timings and speedup so CI can `cmp` runs and gate counters against
-//! `baselines/sweep_baseline.json`.
+//! timings so CI can `cmp` runs and gate the point and work counters
+//! exactly against `baselines/sweep_baseline.json` (`--tolerance` is
+//! rejected: the sweep check never compares wall time).
 //!
 //! `serve` exposes the simulator as a service (see DESIGN.md §14):
 //!
@@ -161,7 +160,6 @@ fn main() {
         store,
         requests,
         grid,
-        batch_width,
         memory,
         store_max_bytes,
         read_timeout_ms,
@@ -415,7 +413,7 @@ fn main() {
                         .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
                     let baseline = Json::parse(&text)
                         .unwrap_or_else(|e| die(&format!("{path}: bad baseline JSON: {e}")));
-                    let outcome = check_report(&report, &baseline, tolerance);
+                    let outcome = check_report(&report, &baseline, tolerance.unwrap_or(0.2));
                     // GitHub Actions reads workflow commands from stdout.
                     for warning in &outcome.warnings {
                         println!("::warning title=bench regression::{warning}");
@@ -441,13 +439,10 @@ fn main() {
                 } else {
                     SweepGrid::full()
                 };
-                let mut g = match &grid {
+                let g = match &grid {
                     Some(spec) => parse_grid(spec, base).unwrap_or_else(|e| die(&e)),
                     None => base,
                 };
-                if let Some(b) = batch_width {
-                    g.batch_width = b;
-                }
                 let sp = SweepParams {
                     quick: bench_params.quick,
                     deterministic,
@@ -462,10 +457,7 @@ fn main() {
                         .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
                     let baseline = Json::parse(&text)
                         .unwrap_or_else(|e| die(&format!("{path}: bad baseline JSON: {e}")));
-                    let outcome = check_sweep(&report, &baseline, tolerance);
-                    for warning in &outcome.warnings {
-                        println!("::warning title=sweep regression::{warning}");
-                    }
+                    let outcome = check_sweep(&report, &baseline);
                     eprint!("{}", outcome.render(path));
                     if !outcome.passed() {
                         failed = true;
@@ -606,7 +598,7 @@ fn die(msg: &str) -> ! {
          [--size N] [--quick] [--json] [--jobs N] [--train-seed S] [--eval-seed S] \
          [--workload W[,W...]] [--model M|all] [--out FILE] [--deterministic] \
          [--engine tabled|predecoded|legacy|both|all] [--check BASELINE.json] [--cache-check] [--tolerance FRAC] \
-         [--target-cycles N] [--telemetry [FILE]] [--grid \"dim=v1,v2;...\"] [--batch-width N] \
+         [--target-cycles N] [--telemetry [FILE]] [--grid \"dim=v1,v2;...\"] \
          [--seed S] [--runs N] [--time-budget SECS] [--corpus DIR] [--inject-recovery-bug] \
          [--memory perfect|fixed:LOAD:FETCH|cache[:I:D]] \
          [--addr HOST:PORT] [--queue-depth N] [--cycle-budget N] [--store DIR] \

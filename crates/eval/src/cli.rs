@@ -32,8 +32,8 @@ pub struct Cli {
     pub check: Option<String>,
     /// `--cache-check`.
     pub cache_check: bool,
-    /// `--tolerance FRAC` (default 0.2).
-    pub tolerance: f64,
+    /// `--tolerance FRAC` for `bench` (default 0.2).
+    pub tolerance: Option<f64>,
     /// `--workload W[,W...]` accumulations.
     pub workloads: Vec<String>,
     /// `--model M|all` accumulations.
@@ -54,8 +54,6 @@ pub struct Cli {
     pub requests: usize,
     /// `--grid SPEC` for `sweep` (dimension overrides, `dim=v1,v2;...`).
     pub grid: Option<String>,
-    /// `--batch-width N` for `sweep` (lanes per lockstep batch).
-    pub batch_width: Option<usize>,
     /// `--memory SPEC` for `bench` and the profiling subcommands
     /// (`perfect | fixed:LOAD:FETCH | cache[:I:D]`).
     pub memory: Option<MemoryModel>,
@@ -78,7 +76,7 @@ impl Default for Cli {
             deterministic: false,
             check: None,
             cache_check: false,
-            tolerance: 0.2,
+            tolerance: None,
             workloads: Vec::new(),
             models: Vec::new(),
             out: None,
@@ -89,7 +87,6 @@ impl Default for Cli {
             store: None,
             requests: 100,
             grid: None,
-            batch_width: None,
             memory: None,
             store_max_bytes: None,
             read_timeout_ms: 10_000,
@@ -170,7 +167,7 @@ impl Cli {
                     if t < 0.0 {
                         return Err("--tolerance needs a fraction >= 0".to_string());
                     }
-                    cli.tolerance = t;
+                    cli.tolerance = Some(t);
                 }
                 "--workload" => {
                     let list = operand(&mut i, "a benchmark name (comma-separated ok)")?;
@@ -251,14 +248,6 @@ impl Cli {
                     cli.memory = Some(m);
                 }
                 "--grid" => cli.grid = Some(operand(&mut i, "a grid spec (dim=v1,v2;...)")?),
-                "--batch-width" => {
-                    let v = operand(&mut i, "a number >= 1")?;
-                    let b: usize = num("--batch-width", &v, "a number >= 1")?;
-                    if b == 0 {
-                        return Err("--batch-width needs a number >= 1".to_string());
-                    }
-                    cli.batch_width = Some(b);
-                }
                 "--requests" => {
                     let v = operand(&mut i, "a number")?;
                     cli.requests = num("--requests", &v, "a number")?;
@@ -278,6 +267,11 @@ impl Cli {
                 other => return Err(format!("unknown flag {other}")),
             }
             i += 1;
+        }
+        // The sweep check gates counters exactly and never compares wall
+        // time, so a tolerance there would be silently ignored.
+        if cli.what == "sweep" && cli.tolerance.is_some() {
+            return Err("--tolerance does not apply to sweep (its check is exact)".to_string());
         }
         Ok(cli)
     }
@@ -369,8 +363,6 @@ mod tests {
             "sweep",
             "--grid",
             "sb=2,4;scan=naive",
-            "--batch-width",
-            "12",
             "--jobs",
             "4",
             "--deterministic",
@@ -380,15 +372,25 @@ mod tests {
         .unwrap();
         assert_eq!(cli.what, "sweep");
         assert_eq!(cli.grid.as_deref(), Some("sb=2,4;scan=naive"));
-        assert_eq!(cli.batch_width, Some(12));
         assert_eq!(cli.params.jobs, 4);
         assert!(cli.deterministic);
         assert_eq!(cli.check.as_deref(), Some("baselines/sweep_baseline.json"));
-        // The shared numeric validation applies to the new flag too.
-        for bad in ["0", "-3", "wide", ""] {
-            assert!(parse(&["sweep", "--batch-width", bad]).is_err(), "{bad}");
-        }
         assert!(parse(&["sweep", "--grid"]).is_err());
+        // The batched engine's flag is gone, and the exact sweep check
+        // takes no tolerance (on either side of the subcommand).
+        let err = parse(&["sweep", "--batch-width", "8"]).expect_err("batch width");
+        assert!(err.contains("--batch-width"), "{err}");
+        for args in [
+            &["sweep", "--tolerance", "0.2"][..],
+            &["--tolerance", "0.2", "sweep"],
+        ] {
+            let err = parse(args).expect_err("sweep tolerance");
+            assert!(err.contains("--tolerance"), "{err}");
+        }
+        assert_eq!(
+            parse(&["bench", "--tolerance", "0.3"]).unwrap().tolerance,
+            Some(0.3)
+        );
     }
 
     #[test]

@@ -1,28 +1,21 @@
-//! `repro sweep` — batched lockstep design-space sweeps with a
-//! deterministic, gateable report.
+//! `repro sweep` — exhaustive design-space sweeps with a deterministic,
+//! gateable report.
 //!
 //! The paper could only sample its (issue-width × buffer-depth ×
 //! scan-strategy × model) design space; `repro sweep` explores a
-//! configurable grid of it exhaustively.  Each (kernel × model) pair
-//! compiles exactly once — the compile key deliberately excludes
-//! `MachineConfig`, so one artifact serves the whole machine grid — and
-//! the grid's configurations then run as lanes of a
-//! [`BatchedMachine`](psb_core::BatchedMachine): one shared decoded
-//! arena, lockstep stepping, independent lane retirement.
-//!
-//! Every sweep run also measures the *point-at-a-time* baseline — the
-//! full single-point pipeline this repo's point runners execute per
-//! point (kernel load, golden scalar run, artifact-cache lookup, solo
-//! machine, golden cross-check), exactly what sweeping the grid through
-//! `repro bench`'s point runner or the experiments' `run_workload`
-//! costs — over the same grid, records the aggregate speedup in the
-//! report's host section, and holds every lane's [`VliwResult`]
-//! byte-equal to its solo run — a sweep number can never come from a
-//! divergent lane.
+//! configurable grid of it exhaustively.  The work splits into one unit
+//! per (kernel × model) artifact, spread over [`parallel_map`].  A unit
+//! loads the kernel, runs the golden scalar machine and compiles once —
+//! the compile key deliberately excludes `MachineConfig`, so one
+//! artifact serves the whole machine grid — then runs every machine
+//! configuration of the grid exactly once under [`NullSink`] and holds
+//! each result to the golden observable state, so a sweep number can
+//! never describe broken code.  The report counts the machine runs and
+//! compiles it performed, so "once" is gated, not just documented.
 //!
 //! The report follows the `BENCH.json` determinism contract: simulated
-//! counters are byte-identical across hosts and `--jobs` values; wall
-//! times and the derived speedup live in `host` objects that
+//! counters and work counters are byte-identical across hosts and
+//! `--jobs` values; wall times live in `host` objects that
 //! `--deterministic` zeroes, so CI can `cmp` two runs and gate counter
 //! drift against `baselines/sweep_baseline.json` via [`check_sweep`].
 
@@ -30,10 +23,8 @@ use crate::bench::{asm_dir, BenchCheck};
 use crate::json::{Json, ToJson};
 use crate::runner::parallel_map;
 use crate::trace::parse_model;
-use psb_compile::{compile, ArtifactCache, CompileRequest, ProfileSource};
-use psb_core::{
-    CacheConfig, CommitScan, MachineConfig, MemoryModel, NullSink, ShadowMode, VliwResult,
-};
+use psb_compile::{compile_fresh, CompileRequest, ProfileSource};
+use psb_core::{CacheConfig, CommitScan, MachineConfig, MemoryModel, NullSink, ShadowMode};
 use psb_scalar::{ScalarConfig, ScalarMachine};
 use psb_sched::{Model, SchedConfig};
 use psb_telemetry::round_us;
@@ -41,16 +32,7 @@ use std::time::Instant;
 
 /// Version string stamped into the sweep report; a mismatch against the
 /// baseline is a hard check failure.
-pub const SWEEP_SCHEMA_VERSION: &str = "psb-sweep-v1";
-
-/// Timed-phase repetitions per artifact; the report keeps the fastest
-/// wall sample of each phase.
-const MEASURE_REPS: usize = 7;
-
-/// Pipeline executions per timed sample.  The per-artifact phases are
-/// sub-millisecond; stretching each sample over several executions
-/// keeps scheduler jitter from dominating a single `Instant` window.
-const MEASURE_INNER: u32 = 3;
+pub const SWEEP_SCHEMA_VERSION: &str = "psb-sweep-v2";
 
 /// The stable report name of a commit-scan strategy.
 fn scan_name(s: CommitScan) -> &'static str {
@@ -110,9 +92,6 @@ pub struct SweepGrid {
     pub icaches: Vec<Option<CacheConfig>>,
     /// Data-cache axis: `None` = off, or a parameterized cache.
     pub dcaches: Vec<Option<CacheConfig>>,
-    /// Maximum lanes per lockstep batch; a grid larger than this runs
-    /// in successive batches.
-    pub batch_width: usize,
 }
 
 /// One machine-grid lane: the cross product element of the sweep's
@@ -161,7 +140,6 @@ impl SweepGrid {
             latencies: vec![2, 4],
             icaches: vec![None],
             dcaches: vec![None],
-            batch_width: 8,
         }
     }
 
@@ -172,14 +150,13 @@ impl SweepGrid {
             widths: vec![4, 8],
             sb: vec![2, 4, 8, 16],
             latencies: vec![2, 3, 4],
-            batch_width: 16,
             ..SweepGrid::quick()
         }
     }
 
     /// The machine-dimension cross product, in fixed nesting order
     /// (width, then sb, then scan, then latency, then icache, then
-    /// dcache) — the lane order of every batch and the point order of
+    /// dcache) — the run order of every artifact and the point order of
     /// the report.
     pub fn lane_axes(&self) -> Vec<LaneAxis> {
         let mut axes = Vec::new();
@@ -250,16 +227,14 @@ impl ToJson for SweepGrid {
                         .collect::<Vec<_>>(),
                 ),
             ),
-            ("batch_width", self.batch_width.to_json()),
         ])
     }
 }
 
 /// Parses a `--grid` spec on top of `base`, overriding only the named
 /// dimensions.  The spec is `dim=v1,v2[;dim=...]` with dimensions
-/// `kernel`, `model`, `width`, `sb`, `scan`, `latency`, `icache`,
-/// `dcache` and `batch`
-/// (e.g. `"width=4,8;sb=2,16;scan=indexed;model=all"`).
+/// `kernel`, `model`, `width`, `sb`, `scan`, `latency`, `icache` and
+/// `dcache` (e.g. `"width=4,8;sb=2,16;scan=indexed;model=all"`).
 ///
 /// Numeric dimensions also accept ranges: `lo..hi` enumerates every
 /// value (inclusive) and `lo..hi:pow2` doubles from `lo` while within
@@ -391,13 +366,6 @@ pub fn parse_grid(spec: &str, base: SweepGrid) -> Result<SweepGrid, String> {
                     .iter()
                     .map(|v| parse_cache_axis(v).map_err(|e| format!("grid dcache `{v}`: {e}")))
                     .collect::<Result<_, _>>()?;
-            }
-            "batch" => {
-                let b: Vec<usize> = nums("batch", &vals, 1)?;
-                if b.len() != 1 {
-                    return Err("grid `batch` takes exactly one value".to_string());
-                }
-                grid.batch_width = b[0];
             }
             other => return Err(format!("unknown grid dimension `{other}`")),
         }
@@ -533,44 +501,34 @@ impl ToJson for SweepPoint {
     }
 }
 
-/// Host-dependent timings of a batched-vs-solo comparison; zeroed by
-/// `--deterministic`.
+/// Host-dependent timing; zeroed by `--deterministic`.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct SweepHost {
-    /// Wall seconds of the batched lockstep phase (per-chunk cache
-    /// lookup + lockstep run of all lanes).
-    pub batched_wall_seconds: f64,
-    /// Wall seconds of the point-at-a-time phase (per-point cache
-    /// lookup + solo run), over the same configurations.
-    pub solo_wall_seconds: f64,
-    /// `solo / batched` — aggregate sim-throughput gain of batching.
-    pub speedup: f64,
+    /// Wall seconds: of one artifact's unit (kernel load, golden run,
+    /// compile and every machine run), or of the whole sweep.
+    pub wall_seconds: f64,
 }
 
 impl ToJson for SweepHost {
     fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("batched_wall_seconds", self.batched_wall_seconds.to_json()),
-            ("solo_wall_seconds", self.solo_wall_seconds.to_json()),
-            ("speedup", self.speedup.to_json()),
-        ])
+        Json::obj(vec![("wall_seconds", self.wall_seconds.to_json())])
     }
 }
 
-/// Per-artifact (kernel × model) batched-vs-solo accounting.
+/// Per-artifact (kernel × model) accounting.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SweepArtifact {
     /// Kernel name.
     pub kernel: String,
     /// Scheduling model name.
     pub model: String,
-    /// Lanes run (the machine-grid size).
+    /// Design points run (the machine-grid size).
     pub lanes: u64,
-    /// Lockstep iterations over all batches of this artifact.
-    pub batch_cycles: u64,
-    /// Architectural cycles stepped across all lanes.
+    /// Architectural cycles simulated across all points.
     pub lane_cycles: u64,
-    /// Host-dependent timings.
+    /// Compiles this artifact's unit performed (one).
+    pub compiles: u64,
+    /// Host-dependent timing.
     pub host: SweepHost,
 }
 
@@ -580,14 +538,14 @@ impl ToJson for SweepArtifact {
             ("kernel", self.kernel.to_json()),
             ("model", self.model.to_json()),
             ("lanes", self.lanes.to_json()),
-            ("batch_cycles", self.batch_cycles.to_json()),
             ("lane_cycles", self.lane_cycles.to_json()),
+            ("compiles", self.compiles.to_json()),
             ("host", self.host.to_json()),
         ])
     }
 }
 
-/// The whole sweep report (`psb-sweep-v1`).
+/// The whole sweep report (`psb-sweep-v2`).
 #[derive(Clone, PartialEq, Debug)]
 pub struct SweepReport {
     /// `"full"` or `"quick"`.
@@ -596,13 +554,17 @@ pub struct SweepReport {
     pub grid: SweepGrid,
     /// Every design point, in fixed (kernel, model, lane-axis) order.
     pub points: Vec<SweepPoint>,
-    /// Per-artifact batched-vs-solo rows.
+    /// Per-artifact rows.
     pub artifacts: Vec<SweepArtifact>,
     /// Total design points (`artifacts × lanes`).
     pub lanes_total: u64,
-    /// Total simulated cycles across every point (one run each).
+    /// Total simulated cycles across every point.
     pub sim_cycles_total: u64,
-    /// Aggregate host timings and speedup across all artifacts.
+    /// Machine runs performed: one per design point.
+    pub machine_runs: u64,
+    /// Compiles performed: one per artifact.
+    pub compiles: u64,
+    /// Wall time of the whole sweep.
     pub host: SweepHost,
 }
 
@@ -619,6 +581,8 @@ impl ToJson for SweepReport {
                 Json::obj(vec![
                     ("lanes_total", self.lanes_total.to_json()),
                     ("sim_cycles_total", self.sim_cycles_total.to_json()),
+                    ("machine_runs", self.machine_runs.to_json()),
+                    ("compiles", self.compiles.to_json()),
                     ("host", self.host.to_json()),
                 ]),
             ),
@@ -637,10 +601,20 @@ impl SweepReport {
     }
 }
 
-/// Runs the whole grid for one (kernel × model) artifact: compile once,
-/// run the machine grid batched, run it again point-at-a-time, and hold
-/// every lane byte-equal to its solo run.
-fn run_unit(kernel: &str, model: Model, grid: &SweepGrid, cache: &ArtifactCache) -> UnitResult {
+/// A unit result travelling back through `parallel_map`: the artifact
+/// row, its points and its machine-run count.
+struct UnitResult {
+    artifact: SweepArtifact,
+    points: Vec<SweepPoint>,
+    machine_runs: u64,
+}
+
+/// Runs the whole grid for one (kernel × model) artifact in one pass:
+/// load the kernel, run the golden scalar machine and compile once, then
+/// run every machine configuration once and hold it to the golden
+/// observable state.
+fn run_unit(kernel: &str, model: Model, grid: &SweepGrid) -> UnitResult {
+    let start = Instant::now();
     let path = asm_dir().join(format!("{kernel}.asm"));
     let case = psb_fuzz::load_repro(&path).unwrap_or_else(|e| panic!("sweep kernel {kernel}: {e}"));
     let (program, fault_once) = (case.program, case.fault_once);
@@ -653,185 +627,65 @@ fn run_unit(kernel: &str, model: Model, grid: &SweepGrid, cache: &ArtifactCache)
     )
     .run()
     .unwrap_or_else(|e| panic!("{kernel}: scalar run failed: {e}"));
-    let sched_cfg = SchedConfig::new(model);
-    let single_shadow = sched_cfg.single_shadow;
-    let req = CompileRequest {
+    let sched = SchedConfig::new(model);
+    let shadow_mode = if sched.single_shadow {
+        ShadowMode::Single
+    } else {
+        ShadowMode::Infinite
+    };
+    // The work counters are bumped at the call they count.
+    let (mut compiles, mut machine_runs) = (0, 0);
+    let art = compile_fresh(&CompileRequest {
         program: &program,
         profile: ProfileSource::Provided(&scalar.edge_profile),
-        sched: sched_cfg.clone(),
-    };
-    // Warm the cache once, untimed: both timed phases below then measure
-    // steady-state sweep behaviour (the solo phase pays one content-hash
-    // lookup per point, the batched phase one per chunk — exactly the
-    // amortization under test, with no compile in either).
-    compile(&req, cache).unwrap_or_else(|e| panic!("{kernel}/{model}: compile failed: {e}"));
+        sched,
+    })
+    .unwrap_or_else(|e| panic!("{kernel}/{model}: compile failed: {e}"));
+    compiles += 1;
+    let golden = scalar.observable(&program.live_out);
 
-    let axes = grid.lane_axes();
-    let cfgs: Vec<MachineConfig> = axes
-        .iter()
-        .map(|ax| MachineConfig {
-            shadow_mode: if single_shadow {
-                ShadowMode::Single
-            } else {
-                ShadowMode::Infinite
-            },
+    let mut points = Vec::new();
+    for ax in grid.lane_axes() {
+        let cfg = MachineConfig {
+            shadow_mode,
             fault_once_addrs: fault_once.clone(),
             store_buffer_size: ax.sb,
             commit_scan: ax.scan,
             load_latency: ax.latency,
             memory: ax.memory(),
             ..MachineConfig::full_issue(ax.width)
-        })
-        .collect();
-
-    // Both timed phases below measure the *whole* per-point pipeline
-    // this repo's point runners execute — kernel load + golden scalar
-    // run + artifact-cache lookup + simulation + golden cross-check
-    // (exactly what `repro bench`'s `run_point` and the experiments'
-    // `run_workload` pay per point) — because that is what a sweep
-    // actually costs point-at-a-time.  The batched phase pays the load,
-    // the scalar run, and (per chunk) the lookup once per *artifact*;
-    // the solo phase pays all of them once per *point*.
-    let scfg = ScalarConfig {
-        fault_once_addrs: fault_once.clone(),
-        ..ScalarConfig::default()
-    };
-
-    // Batched phase body: lanes step in lockstep over the shared arena
-    // with sink calls compiled out (`NullSink` — the sweep never
-    // records events, and a `NullSink` lane's `VliwResult` is
-    // byte-equal to the solo run's).
-    let batched_phase = || -> (Vec<VliwResult>, u64, u64) {
-        let rep_case =
-            psb_fuzz::load_repro(&path).unwrap_or_else(|e| panic!("sweep kernel {kernel}: {e}"));
-        let rep_scalar = ScalarMachine::new(&rep_case.program, scfg.clone())
-            .run()
-            .unwrap_or_else(|e| panic!("{kernel}: scalar run failed: {e}"));
-        let rep_req = CompileRequest {
-            program: &rep_case.program,
-            profile: ProfileSource::Provided(&rep_scalar.edge_profile),
-            sched: sched_cfg.clone(),
         };
-        let golden = rep_scalar.observable(&rep_case.program.live_out);
-        let mut results: Vec<VliwResult> = Vec::with_capacity(cfgs.len());
-        let (mut bc, mut lc) = (0u64, 0u64);
-        for chunk in cfgs.chunks(grid.batch_width.max(1)) {
-            let art = compile(&rep_req, cache)
-                .unwrap_or_else(|e| panic!("{kernel}/{model}: compile failed: {e}"));
-            let lanes = chunk.iter().map(|c| (c.clone(), NullSink)).collect();
-            let rep = art.run_batch_with_sinks(lanes);
-            bc += rep.batch_cycles;
-            lc += rep.lane_cycles;
-            for (lane, outcome) in rep.lanes.into_iter().enumerate() {
-                let (res, _) = outcome.unwrap_or_else(|e| {
-                    panic!("{kernel}/{model}: batched lane {lane} failed: {e}")
-                });
-                assert_eq!(
-                    res.observable(&rep_case.program.live_out),
-                    golden,
-                    "{kernel}/{model}: batched lane {lane} diverged from the scalar \
-                     golden model"
-                );
-                results.push(res);
-            }
-        }
-        (results, bc, lc)
-    };
-
-    // Point-at-a-time phase body: what sweeps did before batching — the
-    // full single-point pipeline per configuration.
-    let solo_phase = || -> Vec<VliwResult> {
-        let mut results: Vec<VliwResult> = Vec::with_capacity(cfgs.len());
-        for cfg in &cfgs {
-            let p_case = psb_fuzz::load_repro(&path)
-                .unwrap_or_else(|e| panic!("sweep kernel {kernel}: {e}"));
-            let p_scalar = ScalarMachine::new(&p_case.program, scfg.clone())
-                .run()
-                .unwrap_or_else(|e| panic!("{kernel}: scalar run failed: {e}"));
-            let p_req = CompileRequest {
-                program: &p_case.program,
-                profile: ProfileSource::Provided(&p_scalar.edge_profile),
-                sched: sched_cfg.clone(),
-            };
-            let art = compile(&p_req, cache)
-                .unwrap_or_else(|e| panic!("{kernel}/{model}: compile failed: {e}"));
-            let res = art
-                .run(cfg.clone())
-                .unwrap_or_else(|e| panic!("{kernel}/{model}: solo run failed: {e}"));
-            assert_eq!(
-                res.observable(&p_case.program.live_out),
-                p_scalar.observable(&p_case.program.live_out),
-                "{kernel}/{model}: solo run diverged from the scalar golden model"
-            );
-            results.push(res);
-        }
-        results
-    };
-
-    // The two phases' repetitions interleave (batched, solo, batched,
-    // solo, …) so slow drift — frequency scaling, a noisy neighbour —
-    // lands on both sides instead of biasing one.  Each sample runs the
-    // phase once untimed (warming its working set after the *other*
-    // phase just evicted it), then times `MEASURE_INNER` executions;
-    // the fastest of `MEASURE_REPS` such samples is reported.
-    let mut batched_wall = f64::INFINITY;
-    let mut lane_results: Vec<VliwResult> = Vec::new();
-    let (mut batch_cycles, mut lane_cycles) = (0u64, 0u64);
-    let mut solo_wall = f64::INFINITY;
-    let mut solo_results: Vec<VliwResult> = Vec::new();
-    for _ in 0..MEASURE_REPS {
-        batched_phase();
-        let start = Instant::now();
-        for _ in 0..MEASURE_INNER {
-            (lane_results, batch_cycles, lane_cycles) = batched_phase();
-        }
-        batched_wall = batched_wall.min(start.elapsed().as_secs_f64() / f64::from(MEASURE_INNER));
-
-        solo_phase();
-        let start = Instant::now();
-        for _ in 0..MEASURE_INNER {
-            solo_results = solo_phase();
-        }
-        solo_wall = solo_wall.min(start.elapsed().as_secs_f64() / f64::from(MEASURE_INNER));
-    }
-
-    // The lane-vs-solo oracle: full `VliwResult` equality (counters,
-    // registers, memory, events) plus the scalar golden cross-check — a
-    // sweep number can never come from a divergent lane.
-    let expected = scalar.observable(&program.live_out);
-    for (i, (lane, solo)) in lane_results.iter().zip(&solo_results).enumerate() {
-        let ax = axes[i];
-        assert_eq!(
-            lane,
-            solo,
-            "{kernel}/{model}: lane {i} (width={} sb={} scan={} latency={} icache={} \
-             dcache={}) diverged from its solo run",
-            ax.width,
-            ax.sb,
+        let (scan, icache, dcache) = (
             scan_name(ax.scan),
-            ax.latency,
             cache_axis_name(&ax.icache),
-            cache_axis_name(&ax.dcache)
+            cache_axis_name(&ax.dcache),
         );
+        let at = || {
+            format!(
+                "{kernel}/{model} at width={} sb={} scan={scan} latency={} icache={icache} \
+                 dcache={dcache}",
+                ax.width, ax.sb, ax.latency
+            )
+        };
+        let (res, _) = art
+            .run_with_sink(cfg, NullSink)
+            .unwrap_or_else(|e| panic!("{}: machine failed: {e}", at()));
+        machine_runs += 1;
         assert_eq!(
-            lane.observable(&program.live_out),
-            expected,
-            "{kernel}/{model}: lane {i} diverged from the scalar golden model"
+            res.observable(&program.live_out),
+            golden,
+            "{}: diverged from the scalar golden model",
+            at()
         );
-    }
-
-    let points = axes
-        .iter()
-        .zip(&lane_results)
-        .map(|(ax, res)| SweepPoint {
+        points.push(SweepPoint {
             kernel: kernel.to_string(),
             model: model.name().to_string(),
             width: ax.width,
             sb: ax.sb,
-            scan: scan_name(ax.scan).to_string(),
+            scan: scan.to_string(),
             latency: ax.latency,
-            icache: cache_axis_name(&ax.icache),
-            dcache: cache_axis_name(&ax.dcache),
+            icache,
+            dcache,
             cycles: res.cycles,
             words_issued: res.words_issued,
             commits: res.commits,
@@ -845,36 +699,21 @@ fn run_unit(kernel: &str, model: Model, grid: &SweepGrid, cache: &ArtifactCache)
             icache_misses: res.icache_misses,
             dcache_accesses: res.dcache_accesses,
             dcache_misses: res.dcache_misses,
-        })
-        .collect();
-    SweepArtifact {
-        kernel: kernel.to_string(),
-        model: model.name().to_string(),
-        lanes: cfgs.len() as u64,
-        batch_cycles,
-        lane_cycles,
-        host: SweepHost {
-            batched_wall_seconds: round_us(batched_wall),
-            solo_wall_seconds: round_us(solo_wall),
-            speedup: round_us(solo_wall / batched_wall.max(1e-9)),
-        },
+        });
     }
-    .with_points(points)
-}
-
-/// A unit result travelling back through `parallel_map`: the artifact
-/// row plus its points (kept together so report assembly stays ordered).
-struct UnitResult {
-    artifact: SweepArtifact,
-    points: Vec<SweepPoint>,
-}
-
-impl SweepArtifact {
-    fn with_points(self, points: Vec<SweepPoint>) -> UnitResult {
-        UnitResult {
-            artifact: self,
-            points,
-        }
+    UnitResult {
+        artifact: SweepArtifact {
+            kernel: kernel.to_string(),
+            model: model.name().to_string(),
+            lanes: points.len() as u64,
+            lane_cycles: points.iter().map(|p| p.cycles).sum(),
+            compiles,
+            host: SweepHost {
+                wall_seconds: round_us(start.elapsed().as_secs_f64()),
+            },
+        },
+        machine_runs,
+        points,
     }
 }
 
@@ -882,10 +721,11 @@ impl SweepArtifact {
 ///
 /// # Panics
 ///
-/// Panics on any kernel load, compile, or machine failure, on a lane
-/// diverging from its solo run, and on golden-model divergence — a
-/// sweep result must never describe broken code.
+/// Panics on any kernel load, compile, or machine failure, and on
+/// golden-model divergence — a sweep result must never describe broken
+/// code.
 pub fn run_sweep(params: &SweepParams) -> SweepReport {
+    let start = Instant::now();
     let grid = &params.grid;
     let mut units = Vec::new();
     for kernel in &grid.kernels {
@@ -893,32 +733,29 @@ pub fn run_sweep(params: &SweepParams) -> SweepReport {
             units.push((kernel.clone(), model));
         }
     }
-    let cache = ArtifactCache::new();
     let results = parallel_map(&units, params.jobs, |(kernel, model)| {
-        run_unit(kernel, *model, grid, &cache)
+        run_unit(kernel, *model, grid)
     });
 
     let mut points = Vec::new();
     let mut artifacts = Vec::new();
-    let (mut batched, mut solo) = (0.0f64, 0.0f64);
+    let mut machine_runs = 0;
     for r in results {
-        batched += r.artifact.host.batched_wall_seconds;
-        solo += r.artifact.host.solo_wall_seconds;
+        machine_runs += r.machine_runs;
         artifacts.push(r.artifact);
         points.extend(r.points);
     }
-    let sim_cycles_total = points.iter().map(|p: &SweepPoint| p.cycles).sum();
     let mut report = SweepReport {
         suite: if params.quick { "quick" } else { "full" }.to_string(),
         grid: grid.clone(),
         lanes_total: points.len() as u64,
+        sim_cycles_total: points.iter().map(|p| p.cycles).sum(),
+        machine_runs,
+        compiles: artifacts.iter().map(|a| a.compiles).sum(),
         points,
         artifacts,
-        sim_cycles_total,
         host: SweepHost {
-            batched_wall_seconds: round_us(batched),
-            solo_wall_seconds: round_us(solo),
-            speedup: round_us(solo / batched.max(1e-9)),
+            wall_seconds: round_us(start.elapsed().as_secs_f64()),
         },
     };
     if params.deterministic {
@@ -943,12 +780,11 @@ fn point_key(j: &Json) -> Option<(String, String, i64, i64, String, i64, String,
 
 /// Compares `current` against the checked-in sweep baseline document.
 ///
-/// The schema version, suite and grid must agree, and every baseline
-/// point's deterministic counters must match exactly — anything else is
-/// a hard failure.  The aggregate speedup is host-dependent: it only
-/// warns when both sides carry timings and the current run regressed by
-/// more than `tolerance` (relative).
-pub fn check_sweep(current: &SweepReport, baseline: &Json, tolerance: f64) -> BenchCheck {
+/// The schema version, suite and grid must agree, every baseline point's
+/// deterministic counters must match exactly, and so must the work
+/// counters (total machine runs, compiles per artifact) — anything else
+/// is a hard failure.  Wall times are never compared.
+pub fn check_sweep(current: &SweepReport, baseline: &Json) -> BenchCheck {
     let mut check = BenchCheck::default();
 
     match baseline.get("schema_version").and_then(Json::as_str) {
@@ -1033,26 +869,35 @@ pub fn check_sweep(current: &SweepReport, baseline: &Json, tolerance: f64) -> Be
         ));
     }
 
-    let base_speedup = baseline
+    let base_runs = baseline
         .get("totals")
-        .and_then(|t| t.get("host"))
-        .and_then(|h| h.get("speedup"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let cur_speedup = current.host.speedup;
-    if base_speedup > 0.0 && cur_speedup > 0.0 {
-        if cur_speedup < base_speedup * (1.0 - tolerance) {
-            check.warnings.push(format!(
-                "aggregate batching speedup regressed: baseline {base_speedup:.2}x, \
-                 current {cur_speedup:.2}x"
+        .and_then(|t| t.get("machine_runs"))
+        .and_then(Json::as_i64);
+    if base_runs != Some(current.machine_runs as i64) {
+        check.failures.push(format!(
+            "machine_runs was {base_runs:?}, now {} (one run per design point)",
+            current.machine_runs
+        ));
+    }
+    let base_artifacts = baseline
+        .get("artifacts")
+        .and_then(Json::as_array)
+        .unwrap_or(&empty);
+    for a in &current.artifacts {
+        let base_compiles = base_artifacts
+            .iter()
+            .find(|b| {
+                b.get("kernel").and_then(Json::as_str) == Some(a.kernel.as_str())
+                    && b.get("model").and_then(Json::as_str) == Some(a.model.as_str())
+            })
+            .and_then(|b| b.get("compiles"))
+            .and_then(Json::as_i64);
+        if base_compiles != Some(a.compiles as i64) {
+            check.failures.push(format!(
+                "{}/{}: compiles was {base_compiles:?}, now {} (one per artifact)",
+                a.kernel, a.model, a.compiles
             ));
         }
-    } else {
-        check.notes.push(
-            "speedup comparison skipped: baseline or current run has zeroed host \
-             timings (--deterministic); counters were still checked"
-                .to_string(),
-        );
     }
     check
 }
@@ -1073,29 +918,22 @@ pub fn render_sweep(report: &SweepReport) -> String {
     .unwrap();
     writeln!(
         s,
-        "{:<9} {:<12} {:>5} {:>11} {:>11} {:>9} {:>9} {:>8}",
-        "kernel", "model", "lanes", "batch cyc", "lane cyc", "batch(s)", "solo(s)", "speedup"
+        "{:<9} {:<12} {:>5} {:>11} {:>8} {:>9}",
+        "kernel", "model", "lanes", "lane cyc", "compiles", "wall(s)"
     )
     .unwrap();
     for a in &report.artifacts {
         writeln!(
             s,
-            "{:<9} {:<12} {:>5} {:>11} {:>11} {:>9.4} {:>9.4} {:>7.2}x",
-            a.kernel,
-            a.model,
-            a.lanes,
-            a.batch_cycles,
-            a.lane_cycles,
-            a.host.batched_wall_seconds,
-            a.host.solo_wall_seconds,
-            a.host.speedup
+            "{:<9} {:<12} {:>5} {:>11} {:>8} {:>9.4}",
+            a.kernel, a.model, a.lanes, a.lane_cycles, a.compiles, a.host.wall_seconds
         )
         .unwrap();
     }
     writeln!(
         s,
-        "aggregate: batched {:.4}s vs point-at-a-time {:.4}s = {:.2}x",
-        report.host.batched_wall_seconds, report.host.solo_wall_seconds, report.host.speedup
+        "total: {} machine runs, {} compiles, {:.4}s wall",
+        report.machine_runs, report.compiles, report.host.wall_seconds
     )
     .unwrap();
     s
@@ -1115,7 +953,6 @@ mod tests {
             latencies: vec![2, 4],
             icaches: vec![None],
             dcaches: vec![None],
-            batch_width: 3, // deliberately not a divisor of the 8 lanes
         }
     }
 
@@ -1130,10 +967,9 @@ mod tests {
 
     #[test]
     fn grid_parse_overrides_only_named_dimensions() {
-        let g = parse_grid("sb=2,8;scan=naive;batch=5", SweepGrid::quick()).unwrap();
+        let g = parse_grid("sb=2,8;scan=naive", SweepGrid::quick()).unwrap();
         assert_eq!(g.sb, vec![2, 8]);
         assert_eq!(g.scans, vec![CommitScan::Naive]);
-        assert_eq!(g.batch_width, 5);
         // Untouched dimensions keep the base values.
         assert_eq!(g.kernels, SweepGrid::quick().kernels);
         assert_eq!(g.latencies, SweepGrid::quick().latencies);
@@ -1180,7 +1016,7 @@ mod tests {
             "scan=quantum",
             "kernel=nope",
             "model=nope",
-            "batch=2,4",
+            "batch=4",
             "sb=8..2",
             "latency=1..8:fib",
             "latency=1..9999",
@@ -1285,8 +1121,30 @@ mod tests {
             "sweep report must be byte-identical at any --jobs"
         );
         let baseline = Json::parse(&serial.to_json().pretty()).unwrap();
-        let check = check_sweep(&serial, &baseline, 0.2);
+        let check = check_sweep(&serial, &baseline);
         assert!(check.passed(), "{:?}", check.failures);
+    }
+
+    #[test]
+    fn every_point_runs_once_and_every_artifact_compiles_once() {
+        let mut grid = tiny_grid();
+        grid.kernels = vec!["dotprod".to_string(), "gcd".to_string()];
+        grid.models = vec![Model::RegionPred, Model::TracePred];
+        for jobs in [1, 4] {
+            let report = run_sweep(&SweepParams {
+                grid: grid.clone(),
+                ..tiny_params(jobs)
+            });
+            assert_eq!(report.lanes_total, 4 * 8, "jobs={jobs}");
+            assert_eq!(report.machine_runs, report.lanes_total, "jobs={jobs}");
+            assert_eq!(report.artifacts.len(), 4, "jobs={jobs}");
+            assert!(
+                report.artifacts.iter().all(|a| a.compiles == 1),
+                "jobs={jobs}: {:?}",
+                report.artifacts
+            );
+            assert_eq!(report.compiles, 4, "jobs={jobs}");
+        }
     }
 
     #[test]
@@ -1296,55 +1154,73 @@ mod tests {
 
         let mut drifted = report.clone();
         drifted.points[0].cycles += 1;
-        let check = check_sweep(&drifted, &baseline, 0.2);
+        let check = check_sweep(&drifted, &baseline);
         assert!(!check.passed());
         assert!(check.failures[0].contains("determinism breakage"));
 
         let mut other_grid = report.clone();
         other_grid.grid.sb = vec![1];
-        assert!(check_sweep(&other_grid, &baseline, 0.2)
+        assert!(check_sweep(&other_grid, &baseline)
             .failures
             .iter()
             .any(|f| f.contains("grid mismatch")));
 
         let mut doc = report.to_json();
         if let Json::Object(fields) = &mut doc {
-            fields[0].1 = Json::Str("psb-sweep-v0".to_string());
+            fields[0].1 = Json::Str("psb-sweep-v1".to_string());
         }
-        assert!(!check_sweep(&report, &doc, 0.2).passed());
+        assert!(!check_sweep(&report, &doc).passed());
 
         let missing = SweepReport {
             points: report.points[1..].to_vec(),
             ..report.clone()
         };
-        assert!(check_sweep(&missing, &baseline, 0.2)
+        assert!(check_sweep(&missing, &baseline)
             .failures
             .iter()
             .any(|f| f.contains("missing from current run")));
+
+        // The work counters are gated exactly.
+        let mut rerun = report.clone();
+        rerun.machine_runs *= 2;
+        assert!(check_sweep(&rerun, &baseline)
+            .failures
+            .iter()
+            .any(|f| f.contains("machine_runs")));
+        let mut recompiled = report.clone();
+        recompiled.artifacts[0].compiles = 8;
+        assert!(check_sweep(&recompiled, &baseline)
+            .failures
+            .iter()
+            .any(|f| f.contains("compiles")));
     }
 
     #[test]
-    fn timed_runs_record_speedup_and_warn_on_regression() {
+    fn timed_runs_record_wall_times_that_the_check_ignores() {
         let mut params = tiny_params(1);
         params.deterministic = false;
         let report = run_sweep(&params);
-        assert!(report.host.batched_wall_seconds > 0.0);
-        assert!(report.host.solo_wall_seconds > 0.0);
-        assert!(report.host.speedup > 0.0);
+        assert!(report.host.wall_seconds > 0.0);
+        assert!(report.artifacts.iter().all(|a| a.host.wall_seconds > 0.0));
+        // The whole sweep spans every unit (run serially here).
+        let units: f64 = report.artifacts.iter().map(|a| a.host.wall_seconds).sum();
+        assert!(report.host.wall_seconds >= units - 1e-5, "{report:?}");
+        // Wall time is advisory on shared runners: a much slower run
+        // checks clean against its own baseline, with no warning.
         let baseline = Json::parse(&report.to_json().pretty()).unwrap();
-        // A much slower "current" run warns (never hard-fails): wall
-        // time is advisory on shared runners.
         let mut slow = report.clone();
-        slow.host.speedup = report.host.speedup / 10.0;
-        let check = check_sweep(&slow, &baseline, 0.2);
+        slow.host.wall_seconds *= 10.0;
+        slow.artifacts[0].host.wall_seconds *= 10.0;
+        let check = check_sweep(&slow, &baseline);
         assert!(check.passed(), "{:?}", check.failures);
-        assert!(
-            check
-                .warnings
-                .iter()
-                .any(|w| w.contains("speedup regressed")),
-            "{:?}",
-            check.warnings
-        );
+        assert!(check.warnings.is_empty(), "{:?}", check.warnings);
+        // --deterministic zeroes every wall field.
+        let mut zeroed = report.clone();
+        zeroed.zero_host();
+        assert_eq!(zeroed.host, SweepHost::default());
+        assert!(zeroed
+            .artifacts
+            .iter()
+            .all(|a| a.host == SweepHost::default()));
     }
 }

@@ -331,6 +331,32 @@ fn bad_selections_exit_with_usage() {
 }
 
 #[test]
+fn sweep_rejects_the_removed_batch_knobs_and_tolerance() {
+    // The batched engine's width flag and grid dimension are gone, and
+    // the exact sweep check takes no tolerance: each fails as a typed
+    // usage error before any simulation runs.
+    for (args, needle) in [
+        (
+            &["sweep", "--quick", "--batch-width", "8"][..],
+            "--batch-width",
+        ),
+        (&["sweep", "--quick", "--grid", "batch=4"][..], "`batch`"),
+        (
+            &["sweep", "--quick", "--tolerance", "0.2"][..],
+            "--tolerance",
+        ),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(needle) && stderr.contains("usage:"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn jobs_zero_is_rejected_with_a_typed_error() {
     // The parse is hoisted ahead of dispatch (`psb_eval::Cli`), so the
     // rejection must hold for every subcommand — including the server

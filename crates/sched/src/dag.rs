@@ -19,7 +19,8 @@
 //!   Figure 8's parameter);
 //! * every control transfer waits for its predicate's setters, and no
 //!   operation that might be needed on an exit path may be scheduled after
-//!   that exit.
+//!   that exit, nor may the conditions its predicate reads resolve after
+//!   the cycle before it (the exit squashes whatever is still buffered).
 
 use crate::ops::SchedOp;
 use psb_isa::{CondReg, Op, Predicate, Reg, SlotOp, Src};
@@ -343,6 +344,16 @@ pub fn build_dag(ops: &mut [SchedOp], policy: &Policy) -> Dag {
             }
             if !op.home.disjoint(&exit_cond) && y < x {
                 add(&mut succs, y, x, 0);
+                // A result still buffered when the exit fires is squashed
+                // with the rest of the region's speculative state, so
+                // every condition its predicate reads must be specified
+                // before the exit issues.  The exit already waits for its
+                // own predicate's setters; ops in the arms of a merged
+                // join also read the arm condition, which the exit does
+                // not.
+                if op.pred.cond_mask() & !ops[x].pred.cond_mask() != 0 {
+                    resolve(&mut succs, &op.pred, x, 1);
+                }
             }
         }
     }
@@ -735,6 +746,48 @@ mod tests {
         // The copy (home = root, not disjoint with the exit) must complete
         // before the exit.
         assert!(dag.succs[0].contains(&(2, 0)));
+    }
+
+    #[test]
+    fn exit_below_a_merged_join_waits_for_the_arm_conditions() {
+        // c0 splits a diamond whose arm writes r1; the arms merge and the
+        // join exits unconditionally.  The arm's buffered write must
+        // commit before the exit squashes it, so c0's setter must
+        // precede the exit by a cycle even though the exit never reads c0.
+        let c0 = psb_isa::CondReg::new(0);
+        let mut ops = vec![
+            alw_op(
+                SlotOp::Op(Op::SetCond {
+                    c: c0,
+                    cmp: CmpOp::Lt,
+                    a: Src::imm(0),
+                    b: Src::imm(1),
+                }),
+                0,
+                0,
+            ),
+            sched_op(
+                SlotOp::Op(Op::Copy {
+                    rd: r(1),
+                    src: Src::imm(1),
+                }),
+                Predicate::always().and_pos(c0),
+                PathCond::root().extend(0, true),
+                1,
+                1,
+            ),
+            {
+                let mut j = alw_op(SlotOp::Jump { target: 0 }, 2, 1);
+                j.exit_cond = Some(PathCond::root());
+                j
+            },
+        ];
+        let dag = build_dag(&mut ops, &policy());
+        assert!(dag.succs[1].contains(&(2, 0)), "arm op before the exit");
+        assert!(
+            dag.succs[0].contains(&(2, 1)),
+            "arm condition resolved first"
+        );
     }
 
     #[test]

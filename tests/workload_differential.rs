@@ -15,8 +15,18 @@ const TRAIN_SEED: u64 = 5;
 const EVAL_SEED: u64 = 99;
 
 fn check(name: &str, sched_cfg: &SchedConfig, machine_cfg: &MachineConfig) {
-    let train = by_name(name, TRAIN_SEED, SIZE).expect("known workload");
-    let eval = by_name(name, EVAL_SEED, SIZE).expect("known workload");
+    check_inputs(name, (TRAIN_SEED, EVAL_SEED, SIZE), sched_cfg, machine_cfg);
+}
+
+/// [`check`] with explicit `(train seed, eval seed, size)` inputs.
+fn check_inputs(
+    name: &str,
+    (train_seed, eval_seed, size): (u64, u64, usize),
+    sched_cfg: &SchedConfig,
+    machine_cfg: &MachineConfig,
+) {
+    let train = by_name(name, train_seed, size).expect("known workload");
+    let eval = by_name(name, eval_seed, size).expect("known workload");
     let scalar = ScalarMachine::new(&eval.program, ScalarConfig::default())
         .run()
         .expect("eval run");
@@ -112,6 +122,24 @@ fn counter_form_ablation() {
         let mut sc = SchedConfig::new(Model::TracePred);
         sc.ordered_cond_sets = true;
         check(w.name, &sc, &MachineConfig::default());
+    }
+}
+
+/// A region-pred miscompile: grep trained on an input that takes both
+/// match flags `f1` and `f2` in one pass, then evaluated on one that
+/// takes `f2` alone, once left `matches` (r2) at 0 instead of 1.  The
+/// `f2` increment sits in a diamond that merges before the loop exit, and
+/// its condition resolved in the exit's own cycle, so the exit squashed
+/// the still-buffered write.
+#[test]
+fn region_pred_grep_exit_below_merged_join() {
+    for inputs in [(34, 22, 12), (223_425_023_132_314, 118_483_903_132_931, 96)] {
+        check_inputs(
+            "grep",
+            inputs,
+            &SchedConfig::new(Model::RegionPred),
+            &MachineConfig::default(),
+        );
     }
 }
 
