@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psb_compile::{
-    compile_fresh, compile_with, ArtifactCache, CompileRequest, CompiledArtifact, ProfileSource,
+    compile_fresh, compile_with, content_hash, ArtifactCache, CompileRequest, CompiledArtifact,
+    ProfileSource,
 };
 use psb_core::{
     CommitScan, CountersSink, EventLog, MachineConfig, NullSink, PredicatedRegFile, ShadowMode,
@@ -267,12 +268,43 @@ fn bench_compile_scaling(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two content hashes one cold compile pays, on the size-16384
+/// eqntott train/eval pair: the request key (both programs' memory
+/// images) and the artifact content hash (the scheduled program's).
+fn bench_compile_key(c: &mut Criterion) {
+    let train = psb_workloads::by_name("eqntott", 1, 16384).unwrap();
+    let eval = psb_workloads::by_name("eqntott", 2, 16384).unwrap();
+    let req = CompileRequest {
+        program: &eval.program,
+        profile: ProfileSource::Train {
+            program: &train.program,
+            config: ScalarConfig::default(),
+        },
+        sched: SchedConfig::new(Model::RegionPred),
+    };
+    let art = compile_fresh(&req).unwrap();
+    let mut g = c.benchmark_group("compile_key");
+    g.bench_function("request_key", |b| {
+        b.iter(|| black_box(black_box(&req).key()))
+    });
+    g.bench_function("content_hash", |b| {
+        b.iter(|| {
+            black_box(content_hash(
+                black_box(&art.program),
+                &art.profile,
+                &req.sched,
+            ))
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = mechanism;
     config = Criterion::default().sample_size(20);
     targets = bench_predicate_eval, bench_regfile_commit, bench_commit_scan,
         bench_machine_commit_scan, bench_machine, bench_trace_sink_overhead,
         bench_telemetry_pmap_overhead, bench_telemetry_cache_hit_overhead,
-        bench_compile, bench_compile_scaling
+        bench_compile, bench_compile_scaling, bench_compile_key
 }
 criterion_main!(mechanism);

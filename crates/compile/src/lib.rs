@@ -125,20 +125,22 @@ pub struct CompileRequest<'a> {
 impl CompileRequest<'_> {
     /// The request's content-derived cache key.
     ///
-    /// Two requests collide iff their program, profile source and
-    /// scheduling configuration render identically — all three types have
-    /// deterministic `Debug` output (plain scalars, `Vec`s and
-    /// `BTreeSet`s), so the key is stable across runs, hosts and thread
-    /// counts.  The machine configuration is deliberately *not* part of
-    /// the key: the same artifact serves every engine and penalty setting.
+    /// Two requests collide iff their programs, profile source and
+    /// scheduling configuration hash identically: structure through its
+    /// deterministic `Debug` output, memory images as raw words (see
+    /// [`DebugHasher`]), so the key is stable across runs, hosts and
+    /// thread counts.  The machine configuration is deliberately *not*
+    /// part of the key: the same artifact serves every engine and
+    /// penalty setting.  Hashing reads every memory cell, so a lookup
+    /// computes the key once and passes it down.
     pub fn key(&self) -> u64 {
         let mut h = DebugHasher::new();
-        h.field(&"compile-request-v1");
-        h.field(self.program);
+        h.field(&"compile-request-v2");
+        h.scalar_program(self.program);
         match &self.profile {
             ProfileSource::Train { program, config } => {
                 h.field(&"train");
-                h.field(program);
+                h.scalar_program(program);
                 h.field(config);
             }
             ProfileSource::Provided(profile) => {
@@ -155,11 +157,24 @@ impl CompileRequest<'_> {
     /// same training run.
     fn profile_key(program: &ScalarProgram, config: &ScalarConfig) -> u64 {
         let mut h = DebugHasher::new();
-        h.field(&"profile-stage-v1");
-        h.field(program);
+        h.field(&"profile-stage-v2");
+        h.scalar_program(program);
         h.field(config);
         h.finish()
     }
+}
+
+/// The artifact content hash: the scheduled program, the profile that
+/// guided it and the scheduling configuration (resources included).
+/// Every compile stamps it; a [`DiskStore`] load recomputes it to
+/// validate the decoded payload.
+pub fn content_hash(program: &VliwProgram, profile: &EdgeProfile, sched: &SchedConfig) -> u64 {
+    let mut h = DebugHasher::new();
+    h.field(&"artifact-v2");
+    h.vliw_program(program);
+    h.field(profile);
+    h.field(sched);
+    h.finish()
 }
 
 /// A failed compilation, tagged with the stage that failed.
@@ -339,11 +354,10 @@ fn profile_stage<T: Telemetry>(
 /// record counts are jobs-deterministic.
 fn finish_compile<T: Telemetry>(
     req: &CompileRequest<'_>,
+    request_key: u64,
     entry: &ProfileEntry,
     tel: &T,
 ) -> Result<CompiledArtifact, CompileError> {
-    let request_key = req.key();
-
     let sp = tel.span("compile", || format!("schedule:{request_key:016x}"));
     let start = Instant::now();
     let program = schedule(req.program, &entry.profile, &req.sched)?;
@@ -362,17 +376,9 @@ fn finish_compile<T: Telemetry>(
 
     let sched_stats = ScheduleStats::analyze(&program);
 
-    let mut h = DebugHasher::new();
-    h.field(&"artifact-v1");
-    h.field(&program);
-    h.field(&entry.profile);
-    h.field(&req.sched);
-    h.field(&req.sched.resources);
-    let content_hash = h.finish();
-
     Ok(CompiledArtifact {
         request_key,
-        content_hash,
+        content_hash: content_hash(&program, &entry.profile, &req.sched),
         stats: CompileStats {
             profile_seconds: entry.seconds,
             schedule_seconds,
@@ -422,14 +428,17 @@ pub fn compile_with<T: Telemetry>(
     cache: &ArtifactCache,
     tel: &T,
 ) -> Result<Arc<CompiledArtifact>, CompileError> {
-    cache.artifact(req.key(), tel, || compile_miss(req, cache, tel))
+    let key = req.key();
+    cache.artifact(key, tel, || compile_miss(req, key, cache, tel))
 }
 
 /// The artifact-cache miss path shared by [`compile_with`] and
 /// [`compile_stored`]: resolve the (separately memoized) profile stage,
-/// then schedule and decode.
+/// then schedule and decode.  `key` is `req.key()`, computed once by
+/// the caller.
 fn compile_miss<T: Telemetry>(
     req: &CompileRequest<'_>,
+    key: u64,
     cache: &ArtifactCache,
     tel: &T,
 ) -> Result<Arc<CompiledArtifact>, CompileError> {
@@ -441,7 +450,7 @@ fn compile_miss<T: Telemetry>(
         }
         ProfileSource::Provided(_) => Arc::new(profile_stage(&req.profile, tel)?),
     };
-    finish_compile(req, &entry, tel).map(Arc::new)
+    finish_compile(req, key, &entry, tel).map(Arc::new)
 }
 
 /// Where [`compile_stored`] found the artifact it returned.
@@ -488,15 +497,16 @@ pub fn compile_stored<T: Telemetry>(
     tel: &T,
 ) -> Result<(Arc<CompiledArtifact>, ArtifactSource), CompileError> {
     let source = std::cell::Cell::new(ArtifactSource::Memory);
-    let artifact = cache.artifact(req.key(), tel, || -> Result<_, CompileError> {
+    let key = req.key();
+    let artifact = cache.artifact(key, tel, || -> Result<_, CompileError> {
         if let Some(store) = store {
-            if let Ok(Some(artifact)) = store.load(req, tel) {
+            if let Ok(Some(artifact)) = store.load(req, key, tel) {
                 source.set(ArtifactSource::Disk);
                 return Ok(artifact);
             }
         }
         source.set(ArtifactSource::Compiled);
-        let artifact = compile_miss(req, cache, tel)?;
+        let artifact = compile_miss(req, key, cache, tel)?;
         if let Some(store) = store {
             // Best-effort persist: an unwritable store must not fail
             // the request; the failure is counted in StoreStats.
@@ -517,5 +527,5 @@ pub fn compile_stored<T: Telemetry>(
 /// [`CompileError`] from whichever stage failed.
 pub fn compile_fresh(req: &CompileRequest<'_>) -> Result<CompiledArtifact, CompileError> {
     let entry = profile_stage(&req.profile, &NullTelemetry)?;
-    finish_compile(req, &entry, &NullTelemetry)
+    finish_compile(req, req.key(), &entry, &NullTelemetry)
 }

@@ -43,7 +43,7 @@
 //! concurrent reader in another process sees either the old complete
 //! file or the new complete file, never a torn one.
 
-use crate::{CompileRequest, CompileStats, CompiledArtifact, DebugHasher};
+use crate::{content_hash, CompileRequest, CompileStats, CompiledArtifact};
 use psb_core::DecodedProgram;
 use psb_isa::{
     AluOp, BlockId, CmpOp, CondReg, MemImage, MemTag, MultiOp, Op, PredTerm, Predicate, Reg, Slot,
@@ -233,6 +233,7 @@ impl DiskStore {
     }
 
     /// Looks up the persisted artifact for `req`, fully validating it.
+    /// `key` is `req.key()`; the caller computes it once per lookup.
     ///
     /// `Ok(None)` means no file exists for the key (a clean miss).
     ///
@@ -243,9 +244,9 @@ impl DiskStore {
     pub fn load<T: Telemetry>(
         &self,
         req: &CompileRequest<'_>,
+        key: u64,
         tel: &T,
     ) -> Result<Option<Arc<CompiledArtifact>>, StoreError> {
-        let key = req.key();
         let path = self.path_for(key);
         let start = Instant::now();
         let bytes = match std::fs::read(&path) {
@@ -264,7 +265,7 @@ impl DiskStore {
                 });
             }
         };
-        match decode_artifact(&bytes, req) {
+        match decode_artifact(&bytes, req, key) {
             Ok(artifact) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 tel.counter(names::STORE_HITS, 1);
@@ -385,7 +386,8 @@ pub fn encode_artifact(artifact: &CompiledArtifact) -> Vec<u8> {
     out
 }
 
-/// Decodes and fully validates a `.psba` byte image against `req`.
+/// Decodes and fully validates a `.psba` byte image against `req`,
+/// whose key `requested` (`req.key()`) the caller has already computed.
 ///
 /// # Errors
 ///
@@ -393,6 +395,7 @@ pub fn encode_artifact(artifact: &CompiledArtifact) -> Vec<u8> {
 pub fn decode_artifact(
     bytes: &[u8],
     req: &CompileRequest<'_>,
+    requested: u64,
 ) -> Result<CompiledArtifact, StoreError> {
     let mut r = Reader { buf: bytes, pos: 0 };
     if r.bytes(4)? != MAGIC {
@@ -403,7 +406,6 @@ pub fn decode_artifact(
         return Err(StoreError::Version(version));
     }
     let stored_key = r.u64()?;
-    let requested = req.key();
     if stored_key != requested {
         return Err(StoreError::KeyMismatch {
             requested,
@@ -431,16 +433,10 @@ pub fn decode_artifact(
     let program = p.read_program()?;
     p.end()?;
 
-    // Recompute the content hash exactly as `finish_compile` does; a
-    // mismatch means the payload is not the artifact this request would
-    // compile today (scheduler drift, profile drift, or plain bit rot).
-    let mut h = DebugHasher::new();
-    h.field(&"artifact-v1");
-    h.field(&program);
-    h.field(&profile);
-    h.field(&req.sched);
-    h.field(&req.sched.resources);
-    let actual_hash = h.finish();
+    // A content-hash mismatch means the payload is not the artifact this
+    // request would compile today (scheduler drift, profile drift, or
+    // plain bit rot).
+    let actual_hash = content_hash(&program, &profile, &req.sched);
     if actual_hash != stored_hash {
         return Err(StoreError::ContentHash {
             stored: stored_hash,

@@ -292,7 +292,7 @@ fn main() {
                 }
             }
             "metrics" => {
-                let mut m = measure_metrics(&psb_sched::Model::ALL, &params);
+                let mut m = measure_metrics(&workloads, &psb_sched::Model::ALL, &params);
                 if deterministic {
                     for row in &mut m {
                         row.zero_host();

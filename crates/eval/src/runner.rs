@@ -406,10 +406,20 @@ impl ToJson for RunMetrics {
     }
 }
 
-/// Times the VLIW simulation of every (benchmark × model) point and
+/// Times the VLIW simulation of every (workload × model) point and
 /// reports per-run [`RunMetrics`], fanned out over `params.jobs` threads.
-pub fn measure_metrics(models: &[Model], params: &EvalParams) -> Vec<RunMetrics> {
-    let points: Vec<(&str, Model)> = BENCHMARKS
+/// Empty `workloads` means all six benchmarks.
+pub fn measure_metrics(
+    workloads: &[String],
+    models: &[Model],
+    params: &EvalParams,
+) -> Vec<RunMetrics> {
+    let names: Vec<&str> = if workloads.is_empty() {
+        BENCHMARKS.to_vec()
+    } else {
+        workloads.iter().map(String::as_str).collect()
+    };
+    let points: Vec<(&str, Model)> = names
         .iter()
         .flat_map(|&n| models.iter().map(move |&m| (n, m)))
         .collect();

@@ -318,6 +318,34 @@ fn compile_sweep_is_jobs_deterministic_and_counts_misses() {
 }
 
 #[test]
+fn metrics_honours_the_workload_selection() {
+    // `--workload` narrows `repro metrics` to the named benchmarks:
+    // 2 workloads × 7 models, in selection order.
+    let out = stdout_of(&[
+        "metrics",
+        "--workload",
+        "compress,li",
+        "--size",
+        "96",
+        "--json",
+        "--deterministic",
+    ]);
+    let doc = assert_json(out.trim_end());
+    let workloads: Vec<&str> = doc
+        .as_array()
+        .expect("rows")
+        .iter()
+        .map(|r| r.get("workload").and_then(Json::as_str).expect("workload"))
+        .collect();
+    assert_eq!(workloads.len(), 2 * 7, "{workloads:?}");
+    assert!(
+        workloads[..7].iter().all(|&w| w == "compress"),
+        "{workloads:?}"
+    );
+    assert!(workloads[7..].iter().all(|&w| w == "li"), "{workloads:?}");
+}
+
+#[test]
 fn bad_selections_exit_with_usage() {
     for args in [
         &["trace", "--workload", "nope"][..],
