@@ -29,10 +29,11 @@ pub enum CommitScan {
     /// of the paper's per-entry commit hardware.  O(buffered) per cycle even
     /// when nothing can have changed.  Kept as the reference oracle.
     Naive,
-    /// Condition-indexed wakeup lists: each buffered entry subscribes to the
-    /// CCR slots its predicate mentions, and a pass re-evaluates only entries
-    /// subscribed to a condition that changed since the previous pass, plus
-    /// entries buffered since then.  O(active) per cycle.
+    /// Condition-filtered pass: a pass re-evaluates only entries whose
+    /// predicate mentions a CCR slot that changed since the previous pass,
+    /// plus entries buffered since then.  The register file keeps one
+    /// 64-bit register mask per condition; the store buffer tests each
+    /// entry's predicate mask and id during one walk of its bounded FIFO.
     #[default]
     Indexed,
 }

@@ -600,12 +600,8 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
             if slot.pred.eval(&self.ccr) == Cond::False {
                 continue;
             }
-            for s in slot.op.srcs() {
-                if let Some(r) = s.as_reg() {
-                    if self.inflight.iter().any(|f| f.dest == r) {
-                        return true;
-                    }
-                }
+            if self.inflight.iter().any(|f| slot.op.reads(f.dest)) {
+                return true;
             }
             if pending != 0 {
                 if let SlotOp::Op(op) = slot.op {

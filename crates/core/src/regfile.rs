@@ -10,19 +10,20 @@
 //!
 //! The paper's hardware re-evaluates every buffered predicate every cycle
 //! ([`CommitScan::Naive`]).  The simulator's default
-//! ([`CommitScan::Indexed`]) keeps a *wakeup list* per CCR slot — the set
-//! of registers holding a buffered entry whose predicate mentions that
+//! ([`CommitScan::Indexed`]) keeps a *wakeup mask* per CCR slot — one bit
+//! per register holding a buffered entry whose predicate mentions that
 //! condition — and re-evaluates only registers subscribed to a condition
 //! that changed since the previous pass, plus registers written since
 //! then.  A buffered predicate's evaluation can only change when one of
 //! its conditions changes, so the two strategies resolve the same entries
-//! on the same cycles and emit byte-identical event logs.
+//! on the same cycles and emit byte-identical event logs.  The file has at
+//! most 64 registers, so every register set is one `u64` and the pass
+//! walks its set bits in ascending register order — the naive scan's order.
 
 use crate::config::{CommitScan, ShadowMode};
 use crate::event::{Event, StateLoc};
 use crate::obs::TraceSink;
 use psb_isa::{Ccr, Cond, Predicate, Reg, MAX_CONDS};
-use std::collections::BTreeSet;
 
 /// One buffered speculative value (a shadow-register occupancy).
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -60,12 +61,13 @@ pub struct PredicatedRegFile {
     scan: CommitScan,
     /// CCR snapshot at the end of the previous commit pass (Indexed only).
     last_ccr: Option<Ccr>,
-    /// Per-condition wakeup lists: registers with a buffered entry whose
-    /// predicate mentions that condition (Indexed only).
-    subs: Vec<BTreeSet<usize>>,
-    /// Registers whose buffered entries must be evaluated at the next pass:
-    /// written since the last pass, or woken by a condition change.
-    pending: BTreeSet<usize>,
+    /// Per-condition wakeup masks: bit `i` of `subs[c]` is set when
+    /// register `i` holds a buffered entry whose predicate mentions
+    /// condition `c` (Indexed only).
+    subs: [u64; MAX_CONDS],
+    /// Registers written since the last pass, whose buffered entries must
+    /// be evaluated at the next one (Indexed only).
+    pending: u64,
     /// Buffered slots with the E flag set (fast path for
     /// [`PredicatedRegFile::has_exception_commit`]).
     exc_count: usize,
@@ -78,14 +80,22 @@ pub struct PredicatedRegFile {
 impl PredicatedRegFile {
     /// Creates a file of `num_regs` registers, all zero, using the
     /// [`CommitScan::Naive`] reference strategy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_regs` exceeds 64, the width of a wakeup mask.
     pub fn new(num_regs: usize, mode: ShadowMode) -> PredicatedRegFile {
+        assert!(
+            num_regs <= u64::BITS as usize,
+            "register file of {num_regs} registers exceeds the 64-bit wakeup masks"
+        );
         PredicatedRegFile {
             entries: vec![RegEntry::default(); num_regs],
             mode,
             scan: CommitScan::Naive,
             last_ccr: None,
-            subs: vec![BTreeSet::new(); MAX_CONDS],
-            pending: BTreeSet::new(),
+            subs: [0; MAX_CONDS],
+            pending: 0,
             exc_count: 0,
             buffered: 0,
         }
@@ -195,13 +205,14 @@ impl PredicatedRegFile {
         }
         self.exc_count += exc as usize;
         if self.scan == CommitScan::Indexed {
+            let bit = 1u64 << r.index();
             let mut conds = pred.cond_mask();
             while conds != 0 {
                 let c = conds.trailing_zeros() as usize;
                 conds &= conds - 1;
-                self.subs[c].insert(r.index());
+                self.subs[c] |= bit;
             }
-            self.pending.insert(r.index());
+            self.pending |= bit;
         }
         Ok(())
     }
@@ -253,21 +264,20 @@ impl PredicatedRegFile {
         // the previous pass — one XOR over the CCR's bitmasks instead of a
         // per-condition compare.  On the first pass (or a CCR-width change,
         // which never happens within one run) everything wakes.
+        let mut wake = std::mem::take(&mut self.pending);
         match &self.last_ccr {
             Some(prev) if prev.len() == ccr.len() => {
                 let mut changed = prev.changed_mask(ccr);
                 while changed != 0 {
                     let c = changed.trailing_zeros() as usize;
                     changed &= changed - 1;
-                    if !self.subs[c].is_empty() {
-                        self.pending.extend(self.subs[c].iter().copied());
-                    }
+                    wake |= self.subs[c];
                 }
             }
             _ => {
                 for (i, e) in self.entries.iter().enumerate() {
                     if !e.spec.is_empty() {
-                        self.pending.insert(i);
+                        wake |= 1u64 << i;
                     }
                 }
             }
@@ -277,30 +287,23 @@ impl PredicatedRegFile {
         let mut commits = 0;
         let mut squashes = 0;
         // Ascending register order reproduces the naive scan's event order.
-        let pending = std::mem::take(&mut self.pending);
-        for i in pending {
-            let (c, s) = resolve_entry(
-                &mut self.entries[i],
-                i,
-                ccr,
-                cycle,
-                sink,
-                &mut self.exc_count,
-            );
+        while wake != 0 {
+            let i = wake.trailing_zeros() as usize;
+            wake &= wake - 1;
+            let e = &mut self.entries[i];
+            let (c, s) = resolve_entry(e, i, ccr, cycle, sink, &mut self.exc_count);
             commits += c;
             squashes += s;
             if c > 0 || s > 0 {
                 // Slots were resolved: rebuild this register's subscriptions
                 // from what remains buffered.
-                for set in &mut self.subs {
-                    set.remove(&i);
-                }
-                for slot in &self.entries[i].spec {
-                    let mut conds = slot.pred.cond_mask();
-                    while conds != 0 {
-                        let cnd = conds.trailing_zeros() as usize;
-                        conds &= conds - 1;
-                        self.subs[cnd].insert(i);
+                let kept = e.spec.iter().fold(0u8, |m, s| m | s.pred.cond_mask());
+                let bit = 1u64 << i;
+                for (cnd, set) in self.subs.iter_mut().enumerate() {
+                    if kept & (1 << cnd) != 0 {
+                        *set |= bit;
+                    } else {
+                        *set &= !bit;
                     }
                 }
             }
@@ -338,12 +341,8 @@ impl PredicatedRegFile {
         }
         self.exc_count = 0;
         self.buffered = 0;
-        if self.scan == CommitScan::Indexed {
-            for set in &mut self.subs {
-                set.clear();
-            }
-            self.pending.clear();
-        }
+        self.subs = [0; MAX_CONDS];
+        self.pending = 0;
         squashes
     }
 
@@ -380,6 +379,7 @@ impl PredicatedRegFile {
 /// Resolves one register's buffered slots against `ccr`, exactly as the
 /// paper's per-entry commit hardware: oldest slot first, commit on true
 /// (copy shadow → sequential), squash on false, keep on unspecified.
+/// Resolved slots leave the buffer in place, so the pass never allocates.
 /// Shared by both scan strategies so their behaviour cannot drift.
 fn resolve_entry(
     e: &mut RegEntry,
@@ -394,34 +394,34 @@ fn resolve_entry(
     }
     let mut commits = 0;
     let mut squashes = 0;
-    let mut kept = Vec::with_capacity(e.spec.len());
-    for slot in e.spec.drain(..) {
-        match slot.pred.eval(ccr) {
-            Cond::True => {
-                assert!(
-                    !slot.exc,
-                    "outstanding speculative exception on r{i} committed outside \
-                     the detection path"
-                );
-                e.seq = slot.value;
-                commits += 1;
-                sink.push(|| Event::Commit {
-                    cycle,
-                    loc: StateLoc::Reg(Reg::new(i)),
-                });
-            }
-            Cond::False => {
-                *exc_count -= slot.exc as usize;
-                squashes += 1;
-                sink.push(|| Event::Squash {
-                    cycle,
-                    loc: StateLoc::Reg(Reg::new(i)),
-                });
-            }
-            Cond::Unspecified => kept.push(slot),
+    let RegEntry { seq, spec } = e;
+    // `retain` visits every slot exactly once, oldest first.
+    spec.retain(|slot| match slot.pred.eval(ccr) {
+        Cond::True => {
+            assert!(
+                !slot.exc,
+                "outstanding speculative exception on r{i} committed outside \
+                 the detection path"
+            );
+            *seq = slot.value;
+            commits += 1;
+            sink.push(|| Event::Commit {
+                cycle,
+                loc: StateLoc::Reg(Reg::new(i)),
+            });
+            false
         }
-    }
-    e.spec = kept;
+        Cond::False => {
+            *exc_count -= slot.exc as usize;
+            squashes += 1;
+            sink.push(|| Event::Squash {
+                cycle,
+                loc: StateLoc::Reg(Reg::new(i)),
+            });
+            false
+        }
+        Cond::Unspecified => true,
+    });
     (commits, squashes)
 }
 

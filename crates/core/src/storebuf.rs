@@ -8,16 +8,19 @@
 //!
 //! Like the register file, the buffer supports two commit-pass strategies
 //! ([`CommitScan`]): the naive full scan of the paper's per-entry hardware,
-//! and condition-indexed wakeup lists that evaluate only entries subscribed
-//! to a condition that changed since the previous pass.  Entry ids are
-//! contiguous (appends take the next id, removals only pop the head), so a
-//! subscribed id maps to its slot in O(1).
+//! and a condition-filtered scan that evaluates only entries whose
+//! predicate mentions a condition that changed since the previous pass, or
+//! that were appended since then.  The filter needs no index: the FIFO
+//! holds at most `capacity` entries, an entry's predicate mask and id are
+//! the whole wake rule, and ids are contiguous (appends take the next id,
+//! removals only pop the head), so the entries appended since a pass are
+//! the FIFO's tail.
 
 use crate::config::CommitScan;
 use crate::event::{Event, StateLoc};
 use crate::obs::TraceSink;
-use psb_isa::{Ccr, Cond, Memory, Predicate, MAX_CONDS};
-use std::collections::{BTreeSet, VecDeque};
+use psb_isa::{Ccr, Cond, Memory, Predicate};
+use std::collections::VecDeque;
 
 /// One store-buffer entry.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -48,12 +51,10 @@ pub struct PredicatedStoreBuffer {
     scan: CommitScan,
     /// CCR snapshot at the end of the previous commit pass (Indexed only).
     last_ccr: Option<Ccr>,
-    /// Per-condition wakeup lists: ids of speculative entries whose
-    /// predicate mentions that condition (Indexed only).
-    subs: Vec<BTreeSet<u64>>,
-    /// Entry ids to evaluate at the next pass: appended since the last
-    /// pass, or woken by a condition change.
-    pending: BTreeSet<u64>,
+    /// The append watermark: `appended` at the end of the previous commit
+    /// pass.  Entries with a higher id are new to the next pass (Indexed
+    /// only).
+    seen: u64,
     /// Valid speculative entries with the E flag set.
     exc_count: usize,
 }
@@ -68,8 +69,7 @@ impl PredicatedStoreBuffer {
             appended: 0,
             scan: CommitScan::Naive,
             last_ccr: None,
-            subs: vec![BTreeSet::new(); MAX_CONDS],
-            pending: BTreeSet::new(),
+            seen: 0,
             exc_count: 0,
         }
     }
@@ -97,17 +97,6 @@ impl PredicatedStoreBuffer {
     /// Whether appending `n` more entries would overflow.
     pub fn would_overflow(&self, n: usize) -> bool {
         self.entries.len() + n > self.capacity
-    }
-
-    /// The buffer slot currently holding `id`, exploiting id contiguity.
-    #[inline]
-    fn slot_of(&self, id: u64) -> Option<usize> {
-        let front = self.entries.front()?.id;
-        if id < front {
-            return None;
-        }
-        let idx = (id - front) as usize;
-        (idx < self.entries.len()).then_some(idx)
     }
 
     /// Appends a store at the tail.
@@ -147,15 +136,6 @@ impl PredicatedStoreBuffer {
         });
         if spec {
             self.exc_count += exc as usize;
-            if self.scan == CommitScan::Indexed {
-                let mut conds = pred.cond_mask();
-                while conds != 0 {
-                    let c = conds.trailing_zeros() as usize;
-                    conds &= conds - 1;
-                    self.subs[c].insert(id);
-                }
-                self.pending.insert(id);
-            }
             sink.push(|| Event::SpecWrite {
                 cycle,
                 loc: StateLoc::Sb(id),
@@ -201,49 +181,35 @@ impl PredicatedStoreBuffer {
     }
 
     fn tick_indexed(&mut self, ccr: &Ccr, cycle: u64, sink: &mut impl TraceSink) -> (u64, u64) {
-        match &self.last_ccr {
-            Some(prev) if prev.len() == ccr.len() => {
-                let mut changed = prev.changed_mask(ccr);
-                while changed != 0 {
-                    let c = changed.trailing_zeros() as usize;
-                    changed &= changed - 1;
-                    if !self.subs[c].is_empty() {
-                        self.pending.extend(self.subs[c].iter().copied());
-                    }
-                }
-            }
-            _ => {
-                for e in &self.entries {
-                    if e.valid && e.spec {
-                        self.pending.insert(e.id);
-                    }
-                }
-            }
-        }
+        // An entry wakes when a condition its predicate mentions changed
+        // since the previous pass, or when it was appended after that pass.
+        // On the first pass (or a CCR-width change, which never happens
+        // within one run) every entry wakes: ids start at 1.
+        let (changed, seen) = match &self.last_ccr {
+            Some(prev) if prev.len() == ccr.len() => (prev.changed_mask(ccr), self.seen),
+            _ => (0, 0),
+        };
+        self.seen = self.appended;
         self.last_ccr = Some(*ccr);
 
+        // Ids are contiguous from the head, so when no condition changed
+        // only the tail appended since the previous pass can wake.
+        let start = match self.entries.front() {
+            Some(head) if changed == 0 => {
+                ((seen + 1).saturating_sub(head.id) as usize).min(self.entries.len())
+            }
+            _ => 0,
+        };
         let mut commits = 0;
         let mut squashes = 0;
-        // Ascending id order is FIFO order, reproducing the naive scan's
-        // event order.
-        let pending = std::mem::take(&mut self.pending);
-        for id in pending {
-            let Some(idx) = self.slot_of(id) else {
+        // FIFO order reproduces the naive scan's event order.
+        for e in self.entries.range_mut(start..) {
+            if e.id <= seen && e.pred.cond_mask() & changed == 0 {
                 continue;
-            };
-            let e = &mut self.entries[idx];
-            let before = e.pred;
+            }
             let (c, s) = resolve_entry(e, ccr, cycle, sink, &mut self.exc_count);
             commits += c;
             squashes += s;
-            if c > 0 || s > 0 {
-                let mut conds = before.cond_mask();
-                while conds != 0 {
-                    let cnd = conds.trailing_zeros() as usize;
-                    conds &= conds - 1;
-                    self.subs[cnd].remove(&id);
-                }
-            }
         }
         (commits, squashes)
     }
@@ -312,12 +278,6 @@ impl PredicatedStoreBuffer {
             }
         }
         self.exc_count = 0;
-        if self.scan == CommitScan::Indexed {
-            for set in &mut self.subs {
-                set.clear();
-            }
-            self.pending.clear();
-        }
         squashes
     }
 

@@ -78,6 +78,28 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// Store-buffer stimulus: retires are frequent and retire up to two heads,
+/// so entries keep draining and every case appends well over 64 entries.
+/// Entry ids then run far past the FIFO front of a small buffer, and past
+/// each pass's append watermark.
+fn sb_step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        2 => (1..REGS, -100i64..100).prop_map(|(reg, value)| Step::WriteSeq { reg, value }),
+        5 => (1..REGS, -100i64..100, pred_strategy(), prop_oneof![4 => Just(false), 1 => Just(true)])
+            .prop_map(|(reg, value, pred, exc)| Step::WriteSpec { reg, value, pred, exc }),
+        3 => (0..K, any::<bool>()).prop_map(|(cond, value)| Step::SetCond { cond, value }),
+        2 => Just(Step::ResetCcr),
+        5 => Just(Step::Tick),
+        1 => Just(Step::SquashSpec),
+        5 => Just(Step::Retire),
+    ]
+}
+
+/// Store-buffer capacity of the differential: small, so ids outrun it.
+const SB_CAP: usize = 16;
+/// Appends every store-buffer case must make.
+const SB_MIN_APPENDS: u64 = 3 * 64;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -154,13 +176,15 @@ proptest! {
     }
 
     /// Store buffer: same property — identical events, identical entries,
-    /// identical retired memory.
+    /// identical retired memory — over runs long enough that entry ids
+    /// pass the buffer's capacity many times over.
     #[test]
     fn storebuf_indexed_matches_naive(
-        steps in proptest::collection::vec(step_strategy(), 1..80),
+        steps in proptest::collection::vec(sb_step_strategy(), 1200..1600),
     ) {
-        let mut naive = PredicatedStoreBuffer::new(64);
-        let mut indexed = PredicatedStoreBuffer::new(64).with_commit_scan(CommitScan::Indexed);
+        let mut naive = PredicatedStoreBuffer::new(SB_CAP);
+        let mut indexed = PredicatedStoreBuffer::new(SB_CAP).with_commit_scan(CommitScan::Indexed);
+        let mut appends = 0u64;
         let mut log_n = EventLog::new(true);
         let mut log_i = EventLog::new(true);
         let mut mem_n = Memory::from_image(&MemImage::zeroed(32));
@@ -177,6 +201,7 @@ proptest! {
                     let addr = reg as i64;
                     naive.append(addr, value, Predicate::always(), false, false, cycle, &mut log_n);
                     indexed.append(addr, value, Predicate::always(), false, false, cycle, &mut log_i);
+                    appends += 1;
                 }
                 Step::WriteSpec { reg, value, pred, exc } => {
                     if naive.would_overflow(1) || pred.eval(&ccr) != psb_isa::Cond::Unspecified {
@@ -185,6 +210,7 @@ proptest! {
                     let addr = reg as i64;
                     naive.append(addr, value, pred, true, exc, cycle, &mut log_n);
                     indexed.append(addr, value, pred, true, exc, cycle, &mut log_i);
+                    appends += 1;
                 }
                 Step::SetCond { cond, value } => ccr.set(CondReg::new(cond), value),
                 Step::ResetCcr => ccr.reset(),
@@ -211,17 +237,81 @@ proptest! {
                     );
                 }
                 Step::Retire => {
-                    prop_assert_eq!(naive.retire(&mut mem_n, 1), indexed.retire(&mut mem_i, 1));
+                    prop_assert_eq!(naive.retire(&mut mem_n, 2), indexed.retire(&mut mem_i, 2));
                 }
             }
             cycle += 1;
         }
+        prop_assert!(appends >= SB_MIN_APPENDS, "only {} appends", appends);
         prop_assert_eq!(log_n.events(), log_i.events());
         let en: Vec<_> = naive.entries().copied().collect();
         let ei: Vec<_> = indexed.entries().copied().collect();
         prop_assert_eq!(en, ei);
         prop_assert_eq!(mem_n.cells(), mem_i.cells());
     }
+}
+
+/// Infinite shadow mode: one register buffers three slots whose
+/// predicates resolve on three different cycles.  Each pass must resolve
+/// only the slot whose condition just specified, keep the others buffered
+/// and still subscribed, and match the naive scan event for event.
+#[test]
+fn regfile_infinite_slots_resolve_on_different_cycles() {
+    let c = CondReg::new;
+    let r = Reg::new(5);
+    let p0 = Predicate::always().and_pos(c(0));
+    let p1 = Predicate::always().and_neg(c(0)).and_pos(c(1));
+    let p2 = Predicate::always().and_pos(c(1)).and_neg(c(2));
+    let mut naive = PredicatedRegFile::new(REGS, ShadowMode::Infinite);
+    let mut indexed =
+        PredicatedRegFile::new(REGS, ShadowMode::Infinite).with_commit_scan(CommitScan::Indexed);
+    let mut log_n = EventLog::new(true);
+    let mut log_i = EventLog::new(true);
+    let mut ccr = Ccr::new(K);
+    for rf in [&mut naive, &mut indexed] {
+        rf.write_seq(r, 1);
+        rf.write_spec(r, 10, p0, false).unwrap();
+        rf.write_spec(r, 20, p1, false).unwrap();
+        rf.write_spec(r, 30, p2, false).unwrap();
+    }
+    // (condition set before the pass, expected (commits, squashes),
+    // slots still buffered, sequential value after the pass)
+    let script = [
+        (None, (0, 0), 3, 1),
+        (Some((0, true)), (1, 1), 1, 10), // p0 commits, p1 squashes
+        (None, (0, 0), 1, 10),            // idle pass: p2 stays
+        (Some((3, true)), (0, 0), 1, 10), // unrelated condition
+        (Some((1, true)), (0, 0), 1, 10), // p2 still waits on c2
+        (Some((2, false)), (1, 0), 0, 30),
+    ];
+    for (cycle, (set, resolved, left, seq)) in (1u64..).zip(script) {
+        if let Some((cond, value)) = set {
+            ccr.set(c(cond), value);
+        }
+        assert_eq!(
+            naive.tick(&ccr, cycle, &mut log_n),
+            resolved,
+            "cycle {cycle}"
+        );
+        assert_eq!(
+            indexed.tick(&ccr, cycle, &mut log_i),
+            resolved,
+            "cycle {cycle}"
+        );
+        assert_eq!(naive.spec_count(), left, "cycle {cycle}");
+        assert_eq!(indexed.spec_count(), left, "cycle {cycle}");
+        assert_eq!(indexed.read_seq(r), seq, "cycle {cycle}");
+        assert_eq!(naive.shadow_entry(r), indexed.shadow_entry(r));
+    }
+    assert_eq!(log_n.events(), log_i.events());
+    assert_eq!(naive.seq_values(), indexed.seq_values());
+}
+
+/// The wakeup masks hold one bit per register, so a wider file is refused.
+#[test]
+#[should_panic(expected = "exceeds the 64-bit wakeup masks")]
+fn regfile_wider_than_64_registers_is_rejected() {
+    let _ = PredicatedRegFile::new(65, ShadowMode::Single);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [table2|table3|fig6|fig7|fig8|ablation-shadow|ablation-counter|ablation-unroll|metrics|bench|trace|profile|fuzz|serve|loadgen|all]
+//! repro [table2|table3|fig6|fig7|fig8|summary|interaction|mix|sensitivity|codesize|ablation-shadow|ablation-counter|ablation-unroll|metrics|compile|bench|sweep|trace|profile|fuzz|serve|loadgen|all]
 //!       [--size N] [--quick] [--json] [--jobs N] [--workload W] [--model M] [--out FILE]
 //! ```
+//!
+//! A flag that the chosen subcommand would ignore (`--engine` outside
+//! `bench`/`fuzz`, `--memory` on a subcommand that runs no VLIW machine,
+//! `--tolerance` outside `bench`) is rejected with exit status 2.
 //!
 //! `--jobs N` fans the (workload × config) sweep of each experiment out
 //! over N threads.  Results are deterministic: the output (including
@@ -139,7 +143,7 @@ use psb_telemetry::{NullTelemetry, Recorder};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = Cli::parse(&args).unwrap_or_else(|e| die(&e));
+    let cli = Cli::parse(&args).unwrap_or_else(|e| die(&e.to_string()));
     let Cli {
         what,
         params,
@@ -594,7 +598,9 @@ fn emit_telemetry(path: &str, rec: &Recorder, guests: &[RunTrace]) {
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     eprintln!(
-        "usage: repro [table2|table3|fig6|fig7|fig8|ablation-shadow|ablation-counter|ablation-unroll|metrics|compile|bench|sweep|trace|profile|fuzz|serve|loadgen|all] \
+        "usage: repro [table2|table3|fig6|fig7|fig8|summary|interaction|mix|sensitivity|codesize|\
+         ablation-shadow|ablation-counter|ablation-unroll|metrics|compile|bench|sweep|trace|profile|\
+         fuzz|serve|loadgen|all] \
          [--size N] [--quick] [--json] [--jobs N] [--train-seed S] [--eval-seed S] \
          [--workload W[,W...]] [--model M|all] [--out FILE] [--deterministic] \
          [--engine tabled|predecoded|legacy|both|all] [--check BASELINE.json] [--cache-check] [--tolerance FRAC] \

@@ -6,12 +6,69 @@
 //! subcommand cannot regress to accepting `--jobs 0` by wiring its own
 //! ad-hoc parse (the bug class this module exists to close out).
 //! [`Cli::parse`] returns a typed result; only the binary turns errors
-//! into `exit(2)`.
+//! into `exit(2)`.  A well-formed flag that the chosen subcommand would
+//! ignore is an error too ([`CliError::NotApplicable`]), checked against
+//! one table of flag scopes.
 
 use crate::runner::{parse_jobs, EvalParams};
 use crate::{parse_engines, parse_model, BenchParams, FuzzParams};
 use psb_core::MemoryModel;
 use psb_sched::Model;
+use std::fmt;
+
+/// The subcommands that honour each flag some subcommands ignore.  `all`
+/// honours `--memory` through its figures; `sweep` takes no `--tolerance`
+/// because its check is exact and never compares wall time.
+const FLAG_SCOPES: &[(&str, &[&str])] = &[
+    ("--engine", &["bench", "fuzz"]),
+    (
+        "--memory",
+        &[
+            "fig6",
+            "fig7",
+            "fig8",
+            "summary",
+            "interaction",
+            "sensitivity",
+            "ablation-shadow",
+            "ablation-counter",
+            "ablation-unroll",
+            "metrics",
+            "trace",
+            "profile",
+            "bench",
+            "all",
+        ],
+    ),
+    ("--tolerance", &["bench"]),
+];
+
+/// Why a `repro` command line was rejected.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum CliError {
+    /// A malformed flag or operand, or an unknown flag.
+    Invalid(String),
+    /// A well-formed flag that the subcommand would silently ignore.
+    NotApplicable {
+        /// The flag, e.g. `--engine`.
+        flag: &'static str,
+        /// The subcommand it was given to.
+        subcommand: String,
+    },
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Invalid(msg) => f.write_str(msg),
+            CliError::NotApplicable { flag, subcommand } => {
+                write!(f, "{flag} does not apply to {subcommand}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
 
 /// Everything one `repro` invocation asked for.
 #[derive(Clone, Debug)]
@@ -99,9 +156,26 @@ impl Cli {
     ///
     /// # Errors
     ///
-    /// A ready-to-print message for the first invalid flag or operand.
-    pub fn parse(args: &[String]) -> Result<Cli, String> {
+    /// [`CliError::Invalid`] for the first invalid flag or operand;
+    /// [`CliError::NotApplicable`] for a flag the subcommand ignores.
+    pub fn parse(args: &[String]) -> Result<Cli, CliError> {
+        let (cli, given) = Cli::parse_flags(args).map_err(CliError::Invalid)?;
+        for &(flag, subcommands) in FLAG_SCOPES {
+            if given.contains(&flag) && !subcommands.contains(&cli.what.as_str()) {
+                return Err(CliError::NotApplicable {
+                    flag,
+                    subcommand: cli.what,
+                });
+            }
+        }
+        Ok(cli)
+    }
+
+    /// The flag loop: the parsed command line plus the scoped flags
+    /// (those of `FLAG_SCOPES`) that were given.
+    fn parse_flags(args: &[String]) -> Result<(Cli, Vec<&'static str>), String> {
         let mut cli = Cli::default();
+        let mut given = Vec::new();
         let mut i = 0;
         // A required operand for the flag at `args[i]`.
         let operand = |i: &mut usize, what: &str| -> Result<String, String> {
@@ -142,6 +216,7 @@ impl Cli {
                 "--json" => cli.json = true,
                 "--deterministic" => cli.deterministic = true,
                 "--engine" => {
+                    given.push("--engine");
                     let e = operand(&mut i, "tabled|predecoded|legacy|both|all")?;
                     cli.bench_params.engines = parse_engines(&e).ok_or_else(|| {
                         format!("unknown engine {e} (tabled|predecoded|legacy|both|all)")
@@ -162,6 +237,7 @@ impl Cli {
                 }
                 "--check" => cli.check = Some(operand(&mut i, "a baseline file")?),
                 "--tolerance" => {
+                    given.push("--tolerance");
                     let v = operand(&mut i, "a fraction >= 0")?;
                     let t: f64 = num("--tolerance", &v, "a fraction >= 0")?;
                     if t < 0.0 {
@@ -242,6 +318,7 @@ impl Cli {
                     cli.read_timeout_ms = t;
                 }
                 "--memory" => {
+                    given.push("--memory");
                     let spec = operand(&mut i, "perfect | fixed:LOAD:FETCH | cache[:I:D]")?;
                     let m = MemoryModel::parse(&spec).map_err(|e| format!("--memory: {e}"))?;
                     m.validate().map_err(|e| format!("--memory: {e}"))?;
@@ -268,12 +345,7 @@ impl Cli {
             }
             i += 1;
         }
-        // The sweep check gates counters exactly and never compares wall
-        // time, so a tolerance there would be silently ignored.
-        if cli.what == "sweep" && cli.tolerance.is_some() {
-            return Err("--tolerance does not apply to sweep (its check is exact)".to_string());
-        }
-        Ok(cli)
+        Ok((cli, given))
     }
 }
 
@@ -283,6 +355,7 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
         Cli::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<String>>())
+            .map_err(|e| e.to_string())
     }
 
     #[test]
@@ -441,6 +514,45 @@ mod tests {
                 parse(&["serve", "--read-timeout-ms", bad]).is_err(),
                 "{bad}"
             );
+        }
+    }
+
+    #[test]
+    fn scoped_flags_are_rejected_where_they_would_be_ignored() {
+        for (args, flag) in [
+            (&["fig7", "--engine", "legacy"][..], "--engine"),
+            (&["metrics", "--engine", "tabled"], "--engine"),
+            (&["table2", "--memory", "cache"], "--memory"),
+            (&["sweep", "--memory", "perfect"], "--memory"),
+            (&["compile", "--tolerance", "0.1"], "--tolerance"),
+        ] {
+            let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            assert_eq!(
+                Cli::parse(&argv).unwrap_err(),
+                CliError::NotApplicable {
+                    flag,
+                    subcommand: args[0].to_string(),
+                },
+                "{args:?}"
+            );
+        }
+        // Flag order does not matter, and a malformed operand is reported
+        // as such even on a subcommand that ignores the flag.
+        let err = parse(&["--engine", "legacy", "fig7"]).unwrap_err();
+        assert_eq!(err, "--engine does not apply to fig7");
+        assert!(parse(&["table2", "--memory", "slow"])
+            .unwrap_err()
+            .starts_with("--memory: "));
+        // Every subcommand in a scope accepts its flag.
+        for &(flag, subcommands) in FLAG_SCOPES {
+            let operand = match flag {
+                "--engine" => "tabled",
+                "--memory" => "perfect",
+                _ => "0.1",
+            };
+            for &sub in subcommands {
+                assert!(parse(&[sub, flag, operand]).is_ok(), "{sub} {flag}");
+            }
         }
     }
 

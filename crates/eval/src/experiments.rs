@@ -593,6 +593,7 @@ pub fn ablation_unroll(params: &EvalParams) -> AblationResult {
         let art = compile(&req, &cache).unwrap_or_else(|e| panic!("{name}/unrolled: {e}"));
         let mut mc = MachineConfig::full_issue(8);
         mc.store_buffer_size = 32;
+        mc.memory = wide.memory;
         let res = art
             .run(mc)
             .unwrap_or_else(|e| panic!("{name}/unrolled: {e}"));

@@ -46,7 +46,7 @@ pub use bench::{
     BenchCheck, BenchParams, BenchPoint, BenchReport, CacheCheck, EngineAggregate, HostSample,
     BENCH_SCHEMA_VERSION, KERNELS,
 };
-pub use cli::Cli;
+pub use cli::{Cli, CliError};
 pub use compile_cmd::{
     compile_sweep, compile_sweep_stored, compile_sweep_t, render_compile, CompileHost, CompileRow,
     CompileSweep,

@@ -359,6 +359,71 @@ fn bad_selections_exit_with_usage() {
 }
 
 #[test]
+fn flags_that_do_not_apply_exit_2_before_running() {
+    // Each flag would be silently ignored by the subcommand; the parse
+    // rejects it as a typed error before any experiment runs.
+    for (args, message) in [
+        (
+            &["fig7", "--engine", "legacy"][..],
+            "--engine does not apply to fig7",
+        ),
+        (
+            &["table2", "--memory", "cache"][..],
+            "--memory does not apply to table2",
+        ),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(message) && stderr.contains("usage:"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn usage_lists_every_subcommand() {
+    let out = repro(&["--frobnicate"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let usage = stderr
+        .split("usage: repro [")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .unwrap_or_else(|| panic!("no usage line:\n{stderr}"));
+    let listed: Vec<&str> = usage.split('|').collect();
+    for sub in [
+        "table2",
+        "table3",
+        "fig6",
+        "fig7",
+        "fig8",
+        "summary",
+        "interaction",
+        "mix",
+        "sensitivity",
+        "codesize",
+        "ablation-shadow",
+        "ablation-counter",
+        "ablation-unroll",
+        "metrics",
+        "compile",
+        "bench",
+        "sweep",
+        "trace",
+        "profile",
+        "fuzz",
+        "serve",
+        "loadgen",
+        "all",
+    ] {
+        assert!(listed.contains(&sub), "usage omits {sub}: {usage}");
+    }
+}
+
+#[test]
 fn sweep_rejects_the_removed_batch_knobs_and_tolerance() {
     // The batched engine's width flag and grid dimension are gone, and
     // the exact sweep check takes no tolerance: each fails as a typed

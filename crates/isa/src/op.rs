@@ -171,6 +171,12 @@ impl Src {
         }
     }
 
+    /// Whether this source reads register `r` (either storage).
+    #[inline]
+    pub fn reads(&self, r: Reg) -> bool {
+        matches!(self, Src::Reg { reg, .. } if *reg == r)
+    }
+
     /// Returns a copy reading the same register with the shadow bit set to
     /// `shadow`; immediates are returned unchanged.
     #[must_use]
@@ -292,6 +298,19 @@ impl Op {
     /// The registers read by this op (immediates skipped, duplicates kept).
     pub fn used_regs(&self) -> Vec<Reg> {
         self.srcs().iter().filter_map(Src::as_reg).collect()
+    }
+
+    /// Whether this op reads register `r`: `used_regs().contains(&r)`
+    /// without building a Vec, for per-instruction interlock checks.
+    #[inline]
+    pub fn reads(&self, r: Reg) -> bool {
+        match self {
+            Op::Alu { a, b, .. } | Op::SetCond { a, b, .. } => a.reads(r) || b.reads(r),
+            Op::Copy { src, .. } => src.reads(r),
+            Op::Load { base, .. } => base.reads(r),
+            Op::Store { base, value, .. } => base.reads(r) || value.reads(r),
+            Op::Nop => false,
+        }
     }
 
     /// Rewrites every register source via `f` (e.g. for renaming or setting
@@ -457,6 +476,88 @@ mod tests {
         assert_eq!(st.def_reg(), None);
         assert_eq!(st.used_regs(), vec![r(2), r(5)]);
         assert!(st.is_mem() && st.is_unsafe());
+    }
+
+    /// Every op, terminator and slot-op shape over a source alphabet with
+    /// `r0`, a shadow read and immediates: `reads(r)` is exactly
+    /// `used_regs().contains(&r)` (`srcs()` for slot ops).
+    #[test]
+    fn reads_agrees_with_used_regs() {
+        use crate::scalar::{BlockId, Terminator};
+        use crate::vliw::SlotOp;
+        let r = Reg::new;
+        let alphabet = [
+            Src::reg(Reg::ZERO),
+            Src::reg(r(1)),
+            Src::shadow(r(1)),
+            Src::reg(r(2)),
+            Src::imm(0),
+            Src::imm(1),
+        ];
+        let probes = [Reg::ZERO, r(1), r(2), r(3), r(63)];
+        let mut ops = vec![Op::Nop];
+        for a in alphabet {
+            ops.push(Op::Copy { rd: r(4), src: a });
+            ops.push(Op::Load {
+                rd: r(4),
+                base: a,
+                offset: 1,
+                tag: MemTag::ANY,
+            });
+            for b in alphabet {
+                ops.push(Op::Alu {
+                    op: AluOp::Add,
+                    rd: r(4),
+                    a,
+                    b,
+                });
+                ops.push(Op::SetCond {
+                    c: CondReg::new(0),
+                    cmp: CmpOp::Lt,
+                    a,
+                    b,
+                });
+                ops.push(Op::Store {
+                    base: a,
+                    offset: 0,
+                    value: b,
+                    tag: MemTag::ANY,
+                });
+            }
+        }
+        let mut terms = vec![Terminator::Halt, Terminator::Jump(BlockId(0))];
+        let mut slots = vec![SlotOp::Halt, SlotOp::Jump { target: 0 }];
+        for a in alphabet {
+            for b in alphabet {
+                terms.push(Terminator::Branch {
+                    cmp: CmpOp::Eq,
+                    a,
+                    b,
+                    taken: BlockId(0),
+                    not_taken: BlockId(1),
+                });
+                slots.push(SlotOp::CmpBr {
+                    c: None,
+                    cmp: CmpOp::Eq,
+                    a,
+                    b,
+                    target: 0,
+                });
+            }
+        }
+        slots.extend(ops.iter().map(|&op| SlotOp::Op(op)));
+        for p in probes {
+            for op in &ops {
+                assert_eq!(op.reads(p), op.used_regs().contains(&p), "{op:?} {p}");
+            }
+            for t in &terms {
+                assert_eq!(t.reads(p), t.used_regs().contains(&p), "{t:?} {p}");
+            }
+            for s in &slots {
+                let used = s.srcs().iter().any(|src| src.as_reg() == Some(p));
+                assert_eq!(s.reads(p), used, "{s:?} {p}");
+            }
+        }
     }
 
     #[test]

@@ -89,6 +89,16 @@ impl Terminator {
             _ => vec![],
         }
     }
+
+    /// Whether the terminator reads register `r`:
+    /// `used_regs().contains(&r)` without building a Vec.
+    #[inline]
+    pub fn reads(&self, r: Reg) -> bool {
+        match self {
+            Terminator::Branch { a, b, .. } => a.reads(r) || b.reads(r),
+            _ => false,
+        }
+    }
 }
 
 /// A basic block: straight-line ops followed by one terminator.

@@ -127,6 +127,17 @@ impl SlotOp {
             SlotOp::Jump { .. } | SlotOp::Halt => vec![],
         }
     }
+
+    /// Whether this slot operation reads register `r`, without building
+    /// the [`srcs`](Self::srcs) Vec.
+    #[inline]
+    pub fn reads(&self, r: Reg) -> bool {
+        match self {
+            SlotOp::Op(op) => op.reads(r),
+            SlotOp::CmpBr { a, b, .. } => a.reads(r) || b.reads(r),
+            SlotOp::Jump { .. } | SlotOp::Halt => false,
+        }
+    }
 }
 
 /// One slot of a VLIW word: a predicate plus an operation.

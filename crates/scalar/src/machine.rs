@@ -211,7 +211,7 @@ impl<'p> ScalarMachine<'p> {
                     return Err(RunError::CycleLimit(self.config.max_cycles));
                 }
                 if let Some(p) = pending_load.take() {
-                    if op.used_regs().contains(&p) {
+                    if op.reads(p) {
                         cycles += self.config.load_use_stall;
                     }
                 }
@@ -266,7 +266,7 @@ impl<'p> ScalarMachine<'p> {
             }
 
             if let Some(p) = pending_load.take() {
-                if b.term.used_regs().contains(&p) {
+                if b.term.reads(p) {
                     cycles += self.config.load_use_stall;
                 }
             }
